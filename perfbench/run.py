@@ -1,0 +1,12 @@
+"""Benchmark entry point: ``python3 perfbench/run.py --workload NAME
+--seed N --seconds S --trace 0|1``, run from the repository root."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from perfbench.harness import main  # noqa: E402
+
+if __name__ == "__main__":
+    sys.exit(main())
