@@ -6,7 +6,8 @@ bootstrap validation line, edits one key in the watched config, and
 asserts that:
 
 * exactly ONE delta scan fires for the edit (no scan storms, no missed
-  change), scoped to a strict subset of the statements;
+  change), scoped to a strict subset of the statements, and it patches
+  the kept store in place (``store=patched``) instead of rebuilding it;
 * the fingerprint digest the watch line prints is byte-identical to the
   digest a full, in-process scan of the same files produces — the
   delta/full equivalence guarantee across a real process boundary;
@@ -47,7 +48,8 @@ EDIT_INI = "[fabric]\nTimeout = 45\nRecoveryAttempts = 3\nName = web\n"
 
 WATCH_LINE = re.compile(
     r"\[(?P<seq>\d+)\] (?P<status>PASS|FAIL) .*"
-    r"mode=(?P<mode>[a-z-]+)(?: selected=(?P<sel>\d+)/(?P<total>\d+))?.*"
+    r"mode=(?P<mode>[a-z-]+)(?: selected=(?P<sel>\d+)/(?P<total>\d+))?"
+    r"(?: store=(?P<store>[a-z]+))?.*"
     r"fingerprint=(?P<digest>[0-9a-f]{64})"
 )
 STARTUP_DEADLINE = 30.0
@@ -113,6 +115,7 @@ def main() -> int:
         assert first.group("status") == "PASS", first.group(0)
         assert first.group("mode") == "bootstrap", first.group(0)
         assert first.group("sel") == first.group("total") == "3", first.group(0)
+        assert first.group("store") == "rebuilt", first.group(0)
         assert first.group("digest") == expect_digest(spec, config)
 
         # 2. one edit → exactly one delta scan, scoped to the one statement
@@ -122,6 +125,8 @@ def main() -> int:
         assert second.group("mode") == "delta", second.group(0)
         assert second.group("sel") == "1", second.group(0)
         assert second.group("total") == "3", second.group(0)
+        # a value-only edit patches the kept store instead of rebuilding it
+        assert second.group("store") == "patched", second.group(0)
         # the equivalence guarantee, across the process boundary
         assert second.group("digest") == expect_digest(spec, config)
 
@@ -143,7 +148,7 @@ def main() -> int:
             process.kill()
             process.wait(timeout=5)
 
-    print("delta smoke: OK (bootstrap 3/3, delta 1/3, fingerprint parity, "
+    print("delta smoke: OK (bootstrap 3/3, delta 1/3 patched, fingerprint parity, "
           "quiet idle, clean shutdown)")
     return 0
 

@@ -1579,7 +1579,7 @@ def _run_service(args) -> int:
 
     def watch_line(result):
         """One parseable line per validation for --watch consumers
-        (the delta-smoke harness greps mode= and fingerprint=)."""
+        (the delta-smoke harness greps mode=, store= and fingerprint=)."""
         nonlocal last_status
         from ..jobs.model import report_fingerprint_digest
 
@@ -1587,7 +1587,8 @@ def _run_service(args) -> int:
         if result.delta is not None:
             mode = (f"mode={result.delta['mode']} "
                     f"selected={result.delta['selected']}"
-                    f"/{result.delta['statements_total']}")
+                    f"/{result.delta['statements_total']} "
+                    f"store={result.delta['store']}")
         else:
             mode = "mode=full"
         digest = report_fingerprint_digest(result.report)

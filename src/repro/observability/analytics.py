@@ -127,12 +127,18 @@ class SpecAnalytics:
     # -- reading -------------------------------------------------------
 
     def hot_specs(self, count: Optional[int] = None) -> list[dict]:
-        """Top-N statements by cumulative latency (ties by line, text)."""
+        """Top-N statements by cumulative latency (ties by line, text).
+
+        Rows rank on the same 6-place seconds they display: sums of
+        float durations taken at different clock readings differ in the
+        last bits, so ranking on the raw sums would order displayed ties
+        differently from host to host.
+        """
         limit = count if count is not None else self.hot_limit
         with self._lock:
             ranked = sorted(
                 self._totals.items(),
-                key=lambda kv: (-kv[1]["seconds"], kv[0]),
+                key=lambda kv: (-round(kv[1]["seconds"], 6), kv[0]),
             )
         return [
             {

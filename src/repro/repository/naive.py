@@ -36,6 +36,11 @@ class NaiveIndex:
         self._by_length[len(instance.key)].append(instance)
         self._count += 1
 
+    def replace(self, old: ConfigInstance, new: ConfigInstance) -> None:
+        """Swap ``old`` for ``new`` (same key) in its length bucket."""
+        bucket = self._by_length[len(old.key)]
+        bucket[next(i for i, stored in enumerate(bucket) if stored is old)] = new
+
     def __len__(self) -> int:
         return self._count
 

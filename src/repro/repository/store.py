@@ -10,7 +10,7 @@ baseline for the §5.2 comparison).
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left
 from typing import Iterable, Iterator, Optional, Union
 
 from ..errors import ConfValleyError
@@ -55,6 +55,29 @@ class ConfigStore:
     def add_all(self, instances: Iterable[ConfigInstance]) -> None:
         for instance in instances:
             self.add(instance)
+
+    def replace(self, old: ConfigInstance, new: ConfigInstance) -> None:
+        """Swap the stored instance ``old`` for ``new`` at the same key.
+
+        Load order, class membership and every other instance stay put, so
+        a store patched value by value equals one rebuilt from the patched
+        sources.  A swap is its own inverse: ``replace(new, old)`` undoes it.
+        """
+        key = old.key
+        if self._by_key.get(key) is not old:
+            raise ConfValleyError(f"{key.render()} does not hold this instance")
+        if new.key != key:
+            raise ConfValleyError(
+                f"cannot replace {key.render()} with {new.key.render()}"
+            )
+        self._by_key[key] = new
+        self._index.replace(old, new)
+        # class lists are in load order, so bisect on it: list.index would
+        # compare instances field by field across the whole class
+        members = self._classes[key.class_key].instances
+        order = self._order
+        position = bisect_left(members, order[key], key=lambda i: order[i.key])
+        members[position] = new
 
     def _next_free_key(self, key: InstanceKey) -> InstanceKey:
         leaf = key.segments[-1]

@@ -68,6 +68,15 @@ class TrieIndex:
         self._count += 1
         self._cache.clear()
 
+    def replace(self, old: ConfigInstance, new: ConfigInstance) -> None:
+        """Swap ``old`` for ``new`` (same key) at its leaf."""
+        node = self._root
+        for segment in reversed(old.key.segments):
+            node = node.children[segment]
+        leaf = node.instances
+        leaf[next(i for i, stored in enumerate(leaf) if stored is old)] = new
+        self._cache.clear()
+
     def __len__(self) -> int:
         return self._count
 

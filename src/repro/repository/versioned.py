@@ -106,11 +106,13 @@ class ChangeSet:
         )
 
 
-def diff_stores(old: Optional[ConfigStore], new: ConfigStore) -> ChangeSet:
-    """Change set between two stores (no repository required)."""
+def _diff_instances(
+    old: Iterable[ConfigInstance], new: Iterable[ConfigInstance]
+) -> ChangeSet:
+    """Change set taking one instance collection to another, by key."""
     change = ChangeSet()
-    old_by_key = {i.key: i for i in (old.instances() if old else ())}
-    new_by_key = {i.key: i for i in new.instances()}
+    old_by_key = {i.key: i for i in old}
+    new_by_key = {i.key: i for i in new}
     for key, instance in new_by_key.items():
         previous = old_by_key.get(key)
         if previous is None:
@@ -121,6 +123,11 @@ def diff_stores(old: Optional[ConfigStore], new: ConfigStore) -> ChangeSet:
         if key not in new_by_key:
             change.removed.append(instance)
     return change
+
+
+def diff_stores(old: Optional[ConfigStore], new: ConfigStore) -> ChangeSet:
+    """Change set between two stores (no repository required)."""
+    return _diff_instances(old.instances() if old else (), new.instances())
 
 
 def _content_id(branch: str, sequence: int, instances: Iterable[ConfigInstance]) -> str:
@@ -226,19 +233,7 @@ class ConfigRepository:
 
     def diff(self, old: Optional[Snapshot], new: Snapshot) -> ChangeSet:
         """Change set taking ``old`` to ``new`` (old=None → everything added)."""
-        change = ChangeSet()
-        old_by_key = {i.key: i for i in (old.instances if old else ())}
-        new_by_key = {i.key: i for i in new.instances}
-        for key, instance in new_by_key.items():
-            previous = old_by_key.get(key)
-            if previous is None:
-                change.added.append(instance)
-            elif previous.value != instance.value:
-                change.modified.append((previous, instance))
-        for key, instance in old_by_key.items():
-            if key not in new_by_key:
-                change.removed.append(instance)
-        return change
+        return _diff_instances(old.instances if old else (), new.instances)
 
     def diff_heads(self, old_branch: str, new_branch: str) -> ChangeSet:
         old = self.head(old_branch)

@@ -22,13 +22,21 @@ changed, the spec file's parse + compiler rewrites are reused from cache
 (see ``docs/PERFORMANCE.md`` for the invalidation semantics).
 
 Services built with ``delta=True`` go one step further and skip
-re-*evaluation* too: a :class:`DeltaScanner` diffs each changed source
-against its last-seen snapshot, asks the spec's dependency index
-(:class:`~repro.core.incremental.DependencyIndex`) for the affected
-statements, re-runs only those, and splices the fresh per-unit reports
-over the retained ones — producing a report whose ``fingerprint()`` is
-byte-identical to a full scan's.  ``docs/INCREMENTAL.md`` documents the
-selection rules, the soundness argument, and the watch-mode runbook.
+re-*evaluation* too: a :class:`DeltaScanner` reparses each changed
+source, works out what changed against its last-seen snapshot, asks the
+spec's dependency index (:class:`~repro.core.incremental.DependencyIndex`)
+for the affected statements, re-runs only those, and splices the fresh
+per-unit reports over the retained ones — producing a report whose
+``fingerprint()`` is byte-identical to a full scan's.  For the common
+check-in, where the changed sources keep the same keys in the same order
+and only values differ, the scanner *patches* the store it kept from the
+last scan in place (:meth:`~repro.repository.store.ConfigStore.replace`)
+and the swapped values are the change set.  That is exact because key
+disambiguation and load order depend only on the key sequence, never on
+values.  Anything else — bootstrap, a spec change, keys added, removed or
+reordered, a changed source list — rebuilds the store and diffs it.
+``docs/INCREMENTAL.md`` documents the selection rules, the soundness
+argument, and the watch-mode runbook.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core.incremental import DependencyIndex
 from .core.policy import ValidationPolicy
@@ -51,8 +59,9 @@ from .observability.analytics import SpecAnalytics, merge_spec_profiles
 from .parallel.cache import SpecCache, SpecCacheStats
 from .parallel.engine import WorkerState, _absorb, evaluate_shard
 from .parallel.shards import Shard, is_parallel_safe, select_units
+from .repository.model import ConfigInstance
 from .repository.store import ConfigStore
-from .repository.versioned import diff_stores
+from .repository.versioned import ChangeSet, diff_stores
 from .resilience import ResiliencePolicy, SourceSupervisor, SpecCircuitBreaker
 from .runtime import RuntimeProvider
 from .runtime import clock as _clock
@@ -112,23 +121,42 @@ class ScanResult:
         return self.report.passed
 
 
+class _Swap(NamedTuple):
+    """One value-only change the patched path applies to the kept store."""
+
+    position: int            # index of the source in the source list
+    index: int               # index of the instance in that source's parse
+    raw: ConfigInstance      # the reparsed driver instance
+    old: ConfigInstance      # the instance the kept store holds
+    new: ConfigInstance      # what the store holds after the swap
+
+
 class DeltaScanner:
     """Incremental scan engine: re-validate only what a change can affect.
 
     Owned by a :class:`ValidationService` constructed with ``delta=True``.
-    Between scans it retains the last validated store, the raw driver
-    parse of every source, and the per-unit reports of the last scan.  A
-    delta scan then:
+    Between scans it retains the last validated store, every source's raw
+    driver parse together with the instances ``ConfigStore.add`` placed
+    for it, and the per-unit reports of the last scan.  A delta scan then:
 
-    1. reparses only the sources whose probe token changed and rebuilds
-       the store in source order — identical to the store a full scan
-       would build, because ``ConfigStore.add`` never mutates the parsed
-       instances it is given;
-    2. diffs the rebuilt store against the retained one
-       (:func:`repro.repository.versioned.diff_stores`) and asks the
-       spec's :class:`~repro.core.incremental.DependencyIndex` — cached
-       as an :meth:`~repro.parallel.cache.SpecCache.attachment` of the
-       compiled entry — for the affected statement indices;
+    1. reparses only the sources whose probe token changed.  When the
+       source list is the same as last scan's and every reparsed source
+       yields the same ``(key, source)`` sequence as before, the scan
+       *patches* the retained store: each changed value is swapped in
+       with :meth:`ConfigStore.replace`, and the change set is exactly
+       those swaps (``modified`` only).  This is exact because ordinal
+       disambiguation and load order depend only on the key sequence in
+       source order, never on values, so every store key and position is
+       unchanged.  Any other scan — bootstrap, spec change, keys added,
+       removed or reordered, a changed source list — *rebuilds* the store
+       in source order, identical to the store a full scan would build
+       (``ConfigStore.add`` never mutates the parsed instances it is
+       given);
+    2. on a rebuild, diffs the new store against the retained one
+       (:func:`repro.repository.versioned.diff_stores`); either way asks
+       the spec's :class:`~repro.core.incremental.DependencyIndex` —
+       cached as an :meth:`~repro.parallel.cache.SpecCache.attachment` of
+       the compiled entry — for the affected statement indices;
     3. evaluates just those units via the parallel engine's
        :func:`~repro.parallel.engine.evaluate_shard` (the same per-unit
        reports a sharded run produces) and splices them over the retained
@@ -142,13 +170,19 @@ class DeltaScanner:
     fail :func:`~repro.parallel.shards.is_parallel_safe` (cross-statement
     ordering semantics) — and the caller runs the full path instead.
     State commits atomically at the *end* of a successful scan, so an
-    exception mid-scan leaves the previous snapshot intact.
+    exception mid-scan leaves the previous snapshot intact: a patched
+    scan swaps every applied value back (a swap is its own inverse)
+    before re-raising.
     """
 
     def __init__(self, service: "ValidationService"):
         self._service = service
-        #: raw driver-parsed instances per source path, from the last scan
-        self._raw: dict[str, tuple] = {}
+        #: the source list the retained store was built from, and per
+        #: source its raw driver parse plus the instances the store placed
+        #: for it — the same objects, except where ``ConfigStore.add``
+        #: disambiguated a duplicate key
+        self._sources: tuple[SourceSpec, ...] = ()
+        self._parsed: list[tuple[list, list]] = []
         #: store and per-unit reports of the last committed delta scan
         self._store: Optional[ConfigStore] = None
         self._unit_reports: dict[int, ValidationReport] = {}
@@ -159,6 +193,8 @@ class DeltaScanner:
         self.fallbacks = 0
         self.selected_total = 0
         self.skipped_total = 0
+        self.store_patched = 0
+        self.store_rebuilt = 0
 
     @property
     def store(self) -> Optional[ConfigStore]:
@@ -174,7 +210,8 @@ class DeltaScanner:
         that has since recovered) would be spliced back in and diverge
         from what a full scan observes.
         """
-        self._raw.clear()
+        self._sources = ()
+        self._parsed = []
         self._store = None
         self._spec_key = None
         self._unit_reports.clear()
@@ -186,6 +223,8 @@ class DeltaScanner:
             "fallbacks": self.fallbacks,
             "statements_selected": self.selected_total,
             "statements_skipped": self.skipped_total,
+            "store_patched": self.store_patched,
+            "store_rebuilt": self.store_rebuilt,
         }
 
     # ------------------------------------------------------------------
@@ -218,26 +257,45 @@ class DeltaScanner:
         spec_key = (spec_text, fingerprint)
 
         changed_set = set(changed)
-        new_raw: dict[str, tuple] = {}
-        new_store = ConfigStore()
-        for source in service.sources:
+        sources = tuple(service.sources)
+        retained = {
+            source: raw for source, (raw, __) in zip(self._sources, self._parsed)
+        }
+        raws = []
+        for source in sources:
             driver_name = resolve_driver(source.format_name, source.path)
-            cached = self._raw.get(source.path)
-            if cached is None or driver_name == "rest" or source.path in changed_set:
+            raw = retained.get(source)
+            if raw is None or driver_name == "rest" or source.path in changed_set:
                 # rest sources have no probe token, so they reparse every
                 # scan — exactly what the full path does
-                cached = tuple(self._parse(session, driver_name, source))
-            new_raw[source.path] = cached
-            new_store.add_all(cached)
+                raw = list(self._parse(session, driver_name, source))
+            raws.append(raw)
 
         lets, units = select_units(statements)
-        if self._store is None or spec_key != self._spec_key:
+        bootstrap = self._store is None or spec_key != self._spec_key
+        swaps = None
+        if not bootstrap and sources == self._sources:
+            swaps = self._value_swaps(raws)
+        if swaps is not None:
+            store_mode = "patched"
+            store = self._store
+            parsed = self._parsed
+        else:
+            store_mode = "rebuilt"
+            swaps = []
+            store = ConfigStore()
+            parsed = [(raw, [store.add(i) for i in raw]) for raw in raws]
+
+        if bootstrap:
             mode = "bootstrap"
             change = None
             selected_units = units
         else:
             mode = "delta"
-            change = diff_stores(self._store, new_store)
+            if store_mode == "patched":
+                change = ChangeSet(modified=[(s.old, s.new) for s in swaps])
+            else:
+                change = self._rebuilt_change(self._store, store)
             index = None
             if service.spec_cache is not None:
                 index = service.spec_cache.attachment(
@@ -254,7 +312,7 @@ class DeltaScanner:
             )
 
         state = WorkerState(
-            store=new_store,
+            store=store,
             runtime=session.runtime,
             policy=session.policy,
             lets=lets,
@@ -262,22 +320,32 @@ class DeltaScanner:
             analytics=session.evaluator.analytics,
             guard=guard,
         )
-        tracer = get_tracer()
-        with tracer.span(
-            "evaluate",
-            mode=mode,
-            statements=len(units),
-            selected=len(selected_units),
-        ):
-            result = evaluate_shard(state, Shard("delta", selected_units))
-        splice_started = _clock.now()
-        fresh = dict(result.unit_reports)
-        merged: dict[int, ValidationReport] = {}
-        for unit in units:
-            if unit.index in fresh:
-                merged[unit.index] = fresh[unit.index]
-            else:
-                merged[unit.index] = self._unit_reports[unit.index]
+        applied: list[_Swap] = []
+        try:
+            for swap in swaps:
+                store.replace(swap.old, swap.new)
+                applied.append(swap)
+            tracer = get_tracer()
+            with tracer.span(
+                "evaluate",
+                mode=mode,
+                statements=len(units),
+                selected=len(selected_units),
+            ):
+                result = evaluate_shard(state, Shard("delta", selected_units))
+            splice_started = _clock.now()
+            fresh = dict(result.unit_reports)
+            merged: dict[int, ValidationReport] = {}
+            for unit in units:
+                if unit.index in fresh:
+                    merged[unit.index] = fresh[unit.index]
+                else:
+                    merged[unit.index] = self._unit_reports[unit.index]
+        except BaseException:
+            # the kept store must still be the last committed snapshot
+            for swap in reversed(applied):
+                store.replace(swap.new, swap.old)
+            raise
         report = ValidationReport()
         if compile_hit is not None:
             if compile_hit:
@@ -291,10 +359,16 @@ class DeltaScanner:
         report.shards_run += 1
         report.elapsed_seconds = _clock.now() - started
 
-        # atomic state commit: nothing above mutated self, so an exception
-        # anywhere earlier leaves the previous snapshot intact
-        self._raw = new_raw
-        self._store = new_store
+        # atomic state commit: apart from the swaps (undone on failure
+        # above) nothing mutated self, so an exception anywhere earlier
+        # leaves the previous snapshot intact
+        for swap in swaps:
+            raw, placed = parsed[swap.position]
+            raw[swap.index] = swap.raw
+            placed[swap.index] = swap.new
+        self._sources = sources
+        self._parsed = parsed
+        self._store = store
         self._spec_key = spec_key
         self._unit_reports = merged
         selected = len(selected_units)
@@ -302,6 +376,10 @@ class DeltaScanner:
         self.scans += 1
         self.selected_total += selected
         self.skipped_total += skipped
+        if store_mode == "patched":
+            self.store_patched += 1
+        else:
+            self.store_rebuilt += 1
         metrics = get_metrics()
         if metrics.enabled:
             metrics.counter(
@@ -312,12 +390,19 @@ class DeltaScanner:
                 "confvalley_delta_statements_skipped_total",
                 "Statements spliced from the previous scan unchanged.",
             ).inc(skipped)
+            patched = metrics.counter(
+                "confvalley_delta_store_patched_total",
+                "Delta scans that patched the kept store in place.",
+            )
+            if store_mode == "patched":
+                patched.inc()
             metrics.histogram(
                 "confvalley_delta_splice_seconds",
                 "Wall-clock time merging retained and fresh unit reports.",
             ).observe(splice_seconds)
         info = {
             "mode": mode,
+            "store": store_mode,
             "statements_total": len(units),
             "selected": selected,
             "skipped": skipped,
@@ -325,6 +410,69 @@ class DeltaScanner:
             "change": change.summary() if change is not None else None,
         }
         return report, info
+
+    @staticmethod
+    def _rebuilt_change(old: ConfigStore, new: ConfigStore) -> ChangeSet:
+        """:func:`diff_stores`, widened to all a spliced report depends on.
+
+        Reports also carry each instance's source and list instances in
+        load order.  So a kept key whose source changed counts as
+        modified, and kept keys whose relative order changed — the span
+        between the first and last position where the two load orders of
+        the kept keys disagree — count as removed and re-added, which also
+        re-runs compartment discovery over them.
+        """
+        change = diff_stores(old, new)
+        new_by_key = {i.key: i for i in new.instances()}
+        before = [i for i in old.instances() if i.key in new_by_key]
+        kept = {i.key for i in before}
+        after = [i for i in new.instances() if i.key in kept]
+        moved = [
+            position
+            for position, (previous, current) in enumerate(zip(before, after))
+            if previous.key != current.key
+        ]
+        span = before[moved[0]:moved[-1] + 1] if moved else []
+        span_keys = {i.key for i in span}
+        change.modified = [
+            pair for pair in change.modified if pair[0].key not in span_keys
+        ] + [
+            (previous, new_by_key[previous.key])
+            for previous in before
+            if previous.key not in span_keys
+            and previous.source != new_by_key[previous.key].source
+            and previous.value == new_by_key[previous.key].value
+        ]
+        change.removed += span
+        change.added += [new_by_key[i.key] for i in span]
+        return change
+
+    def _value_swaps(self, raws: list[list]) -> Optional[list[_Swap]]:
+        """The swaps turning the kept store into this scan's, or ``None``.
+
+        ``None`` means some reparsed source's ``(key, source)`` sequence
+        differs from its last parse, so the store must be rebuilt.
+        """
+        swaps = []
+        for position, (raw, (before_raw, placed)) in enumerate(
+            zip(raws, self._parsed)
+        ):
+            if raw is before_raw:
+                continue  # not reparsed
+            if len(raw) != len(before_raw):
+                return None
+            for index, (before, after) in enumerate(zip(before_raw, raw)):
+                if before.key != after.key or before.source != after.source:
+                    return None
+                if before.value != after.value:
+                    old = placed[index]
+                    # add() placed the parsed object itself unless it had
+                    # to disambiguate the key; keep the placed key either way
+                    new = after if old is before else ConfigInstance(
+                        old.key, after.value, after.source
+                    )
+                    swaps.append(_Swap(position, index, after, old, new))
+        return swaps
 
     @staticmethod
     def _parse(session: ValidationSession, driver_name: str, source: "SourceSpec"):
@@ -531,12 +679,20 @@ class ValidationService:
         with tracer.span(
             "scan", scan=self.scans, changed=len(changed)
         ) as span:
-            if self.workflow_engine is not None:
-                result = self._run_workflow(changed)
-            elif self.resilience is not None:
-                result = self._run_resilient(changed)
-            else:
-                result = self._run_strict(changed)
+            try:
+                if self.workflow_engine is not None:
+                    result = self._run_workflow(changed)
+                elif self.resilience is not None:
+                    result = self._run_resilient(changed)
+                else:
+                    result = self._run_strict(changed)
+            except BaseException:
+                # these changes were never validated: forget their probe
+                # tokens so the next poll reports them again (a delta scan
+                # would otherwise keep its stale parse of them)
+                for path in changed:
+                    self._mtimes.pop(path, None)
+                raise
             span.set(
                 passed=result.passed,
                 violations=len(result.report.violations),
@@ -902,6 +1058,7 @@ class ValidationService:
         if result.delta is not None:
             record["delta"] = {
                 "mode": result.delta["mode"],
+                "store": result.delta["store"],
                 "selected": result.delta["selected"],
                 "skipped": result.delta["skipped"],
             }

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import doctest
 import os
+import random
 
 import pytest
 
@@ -26,10 +27,13 @@ from repro import (
     ResiliencePolicy,
     SourceSpec,
     ValidationService,
+    observability,
 )
 from repro.core.report import HealthBlock
+from repro.drivers import get_driver
 from repro.jobs import JobService, JobState
 from repro.predicates import register_predicate
+from repro.repository import ConfigStore
 
 # ---------------------------------------------------------------------------
 # Twin harness
@@ -513,6 +517,294 @@ class TestDeltaJobs:
             assert job.to_dict()["baseline_sources"]
         finally:
             service.close()
+
+
+# ---------------------------------------------------------------------------
+# Patched vs rebuilt store: differential test against fresh builds
+# ---------------------------------------------------------------------------
+
+DIFF_SPEC = (
+    "$Cluster.Timeout -> int & [1, 60]\n"
+    "$Cluster.Mode -> {'fast', 'safe'}\n"
+    "$*Port -> port\n"
+    "$shared.Port -> unique\n"
+    "$node.Replicas -> count -> == 1\n"
+)
+#: value pools per key name; every source draws on the same names, so the
+#: store is full of cross-source duplicates it must disambiguate by ordinal
+DIFF_VALUES = {
+    "Timeout": ["30", "45", "999", "x"],
+    "Mode": ["fast", "safe", "slow"],
+    "Port": ["8080", "443", "70000"],
+    "HttpPort": ["80", "8443", "-1"],
+    "Replicas": ["1", "3"],
+}
+DIFF_SECTIONS = ["Cluster", "shared", "node"]
+#: exact, ordinal and wildcard patterns, queried before every edit (which
+#: fills the trie memo) and compared after it
+DIFF_PATTERNS = [
+    "Timeout", "Cluster.Timeout", "Cluster.Timeout[2]", "shared.Port",
+    "Port[3]", "*Port", "*.Mode", "node.*", "Replicas",
+]
+DIFF_CORPUS = {
+    "a.ini": [("Cluster", "Timeout", "30"), ("Cluster", "Mode", "fast"),
+              ("shared", "Port", "8080")],
+    "b.ini": [("Cluster", "Timeout", "45"), ("shared", "Port", "443"),
+              ("node", "HttpPort", "80")],
+    "c.ini": [("shared", "Port", "8080"), ("node", "Replicas", "1"),
+              ("Cluster", "Mode", "safe")],
+    "d.ini": [("node", "HttpPort", "8443"), ("shared", "Port", "443")],
+}
+#: edit kind -> the store path the delta scan must take for it
+DIFF_PATHS = {
+    "value": "patched", "comment": "patched", "add": "rebuilt",
+    "remove": "rebuilt", "reorder": "rebuilt", "delete": "rebuilt",
+    "restore": "rebuilt", "shuffle": "rebuilt",
+}
+
+
+def store_rows(store):
+    return [(i.key, i.value, i.source) for i in store.instances()]
+
+
+def class_rows(store):
+    return [
+        (cls.class_key, [(i.key, i.value, i.source) for i in cls.instances])
+        for cls in store.classes()
+    ]
+
+
+def query_rows(store):
+    return {
+        pattern: [(i.key, i.value) for i in store.query(pattern)]
+        for pattern in DIFF_PATTERNS
+    }
+
+
+class DiffCorpus:
+    """Seeded edits to four INI sources and to the source list, applied
+    alike to a delta service and a full-scan twin."""
+
+    def __init__(self, tmp_path, seed):
+        self.rng = random.Random(seed)
+        self.spec = write(tmp_path / "spec.cpl", DIFF_SPEC)
+        self.entries = {name: list(rows) for name, rows in DIFF_CORPUS.items()}
+        self.comments = dict.fromkeys(DIFF_CORPUS, 0)
+        self.paths = {name: tmp_path / name for name in DIFF_CORPUS}
+        self.active = list(DIFF_CORPUS)
+        for name in DIFF_CORPUS:
+            write(self.paths[name], self.render(name))
+        self.full = ValidationService(self.spec, self.sources())
+        self.delta = ValidationService(self.spec, self.sources(), delta=True)
+
+    def render(self, name):
+        lines = [f"# revision {n}" for n in range(self.comments[name])]
+        for section, key, value in self.entries[name]:
+            lines += [f"[{section}]", f"{key} = {value}"]
+        return "\n".join(lines) + "\n"
+
+    def sources(self):
+        return [SourceSpec("ini", str(self.paths[name])) for name in self.active]
+
+    def edit(self):
+        """Apply one random applicable edit; returns its kind."""
+        rng = self.rng
+        while True:
+            kind = rng.choices(
+                list(DIFF_PATHS), weights=[40, 10, 12, 12, 10, 6, 6, 4]
+            )[0]
+            name = rng.choice(self.active)
+            rows = self.entries[name]
+            if kind == "value" and rows:
+                for index in rng.sample(range(len(rows)), min(len(rows), 2)):
+                    section, key, value = rows[index]
+                    other = [v for v in DIFF_VALUES[key] if v != value]
+                    rows[index] = (section, key, rng.choice(other))
+            elif kind == "comment":
+                self.comments[name] += 1
+            elif kind == "add":
+                key = rng.choice(list(DIFF_VALUES))
+                rows.insert(
+                    rng.randrange(len(rows) + 1),
+                    (rng.choice(DIFF_SECTIONS), key, rng.choice(DIFF_VALUES[key])),
+                )
+            elif kind == "remove" and rows:
+                rows.pop(rng.randrange(len(rows)))
+            elif kind == "reorder" and len({r[:2] for r in rows}) > 1:
+                first, second = rng.sample(range(len(rows)), 2)
+                while rows[first][:2] == rows[second][:2]:
+                    first, second = rng.sample(range(len(rows)), 2)
+                rows[first], rows[second] = rows[second], rows[first]
+            elif kind == "delete" and len(self.active) > 1:
+                self.active.remove(name)
+            elif kind == "restore" and len(self.active) < len(DIFF_CORPUS):
+                missing = [n for n in DIFF_CORPUS if n not in self.active]
+                self.active.insert(
+                    rng.randrange(len(self.active) + 1), rng.choice(missing)
+                )
+            elif kind == "shuffle" and len(self.active) > 1:
+                # same files, new load order: duplicate keys change source
+                first, second = rng.sample(range(len(self.active)), 2)
+                active = self.active
+                active[first], active[second] = active[second], active[first]
+            else:
+                continue
+            if kind in ("delete", "restore", "shuffle"):
+                self.set_active(self.active)
+            else:
+                self.set_rows(name, rows)
+            return kind
+
+    def set_rows(self, name, rows):
+        self.entries[name] = list(rows)
+        rewrite(self.paths[name], self.render(name))
+
+    def set_active(self, names):
+        self.active = list(names)
+        self.full.sources[:] = self.sources()
+        self.delta.sources[:] = self.sources()
+
+    def step(self, label=""):
+        """Scan both twins; assert parity with a full scan and a fresh store."""
+        result = self.delta.run_once()
+        full = self.full.run_once()
+        assert result.report.fingerprint() == full.report.fingerprint(), label
+        store, reference = self.delta._delta.store, self.fresh_store()
+        assert store_rows(store) == store_rows(reference), label
+        assert class_rows(store) == class_rows(reference), label
+        assert query_rows(store) == query_rows(reference), label
+        return result
+
+    def fresh_store(self):
+        store = ConfigStore()
+        driver = get_driver("ini")
+        for name in self.active:
+            path = self.paths[name]
+            store.add_all(driver.parse_bytes(path.read_bytes(), source=str(path)))
+        return store
+
+
+class TestPatchedStoreDifferential:
+    @pytest.mark.parametrize("seed", [3, 17, 42, 101])
+    def test_seeded_edits_match_fresh_builds(self, tmp_path, seed):
+        corpus = DiffCorpus(tmp_path, seed)
+        first = corpus.step()
+        assert (first.delta["mode"], first.delta["store"]) == ("bootstrap", "rebuilt")
+        taken = {"patched": 0, "rebuilt": 0}
+        for __ in range(60):
+            kept = corpus.delta._delta.store
+            query_rows(kept)  # fill the trie memo before the edit
+            kind = corpus.edit()
+            result = corpus.step(kind)
+            assert result.delta["mode"] == "delta"
+            assert result.delta["store"] == DIFF_PATHS[kind], kind
+            if DIFF_PATHS[kind] == "patched":
+                assert corpus.delta._delta.store is kept
+            taken[result.delta["store"]] += 1
+        assert taken["patched"] > 0 and taken["rebuilt"] > 0
+        stats = corpus.delta.stats()["delta"]
+        assert stats["store_patched"] == taken["patched"]
+        assert stats["store_rebuilt"] == taken["rebuilt"] + 1  # + bootstrap
+
+    def test_duplicate_keys_patch_at_their_disambiguated_keys(self, tmp_path):
+        corpus = DiffCorpus(tmp_path, 0)
+        corpus.step()
+        rows = corpus.entries["c.ini"]
+        corpus.set_rows("c.ini", [("shared", "Port", "70000")] + rows[1:])
+        result = corpus.step()
+        assert result.delta["store"] == "patched"
+        assert result.delta["change"].startswith("+0 -0 ~1 ")
+        ports = corpus.delta._delta.store.query("shared.Port")
+        assert [i.key.render() for i in ports] == [
+            "shared.Port", "shared.Port[2]", "shared.Port[3]", "shared.Port[4]",
+        ]
+        assert [i.value for i in ports] == ["8080", "443", "70000", "443"]
+        assert not result.passed
+
+
+    def test_reordered_keys_reorder_the_report(self, tmp_path):
+        # two violations of one statement swap places in load order while
+        # every key keeps its value, so the plain store diff is empty
+        corpus = DiffCorpus(tmp_path, 0)
+        corpus.set_rows("d.ini", [("node", "HttpPort", "-1"), ("shared", "Port", "70000")])
+        corpus.step()
+        corpus.set_rows("d.ini", corpus.entries["d.ini"][::-1])
+        result = corpus.step()
+        assert result.delta["store"] == "rebuilt"
+        assert result.delta["selected"] > 0
+
+    def test_source_order_change_moves_duplicate_keys_across_sources(self, tmp_path):
+        # shared.Port[3] keeps its value but now comes from a.ini, so the
+        # unique() offender it reports must name the new source
+        corpus = DiffCorpus(tmp_path, 0)
+        for name, port in (("a.ini", "8080"), ("b.ini", "443"), ("c.ini", "8080")):
+            corpus.set_rows(name, [("shared", "Port", port)])
+        corpus.set_active(["a.ini", "b.ini", "c.ini"])
+        first = corpus.step()
+        assert not first.passed
+        corpus.set_active(["c.ini", "b.ini", "a.ini"])
+        result = corpus.step()
+        assert result.delta["store"] == "rebuilt"
+        offenders = [
+            v.source for v in result.report.violations if v.constraint == "unique"
+        ]
+        assert offenders == [str(corpus.paths["a.ini"])]
+
+
+class TestPatchedStoreAtomicity:
+    def test_failed_evaluation_restores_the_kept_store(self, tmp_path, monkeypatch):
+        corpus = DiffCorpus(tmp_path, 0)
+        corpus.delta.run_once()
+        scanner = corpus.delta._delta
+        before = store_rows(scanner.store)
+        query_rows(scanner.store)
+        corpus.entries["a.ini"][0] = ("Cluster", "Timeout", "999")
+        rewrite(corpus.paths["a.ini"], corpus.render("a.ini"))
+
+        import repro.service as service_module
+
+        def explode(state, shard):
+            # the swap has been applied by now: the store holds the new value
+            assert any(i.value == "999" for i in state.store.instances())
+            raise RuntimeError("shard crashed")
+
+        monkeypatch.setattr(service_module, "evaluate_shard", explode)
+        with pytest.raises(RuntimeError, match="shard crashed"):
+            corpus.delta.run_once()
+        assert store_rows(scanner.store) == before
+        assert scanner.stats()["store_patched"] == 0
+        monkeypatch.undo()
+
+        # the failed scan must not have consumed the change: the next
+        # poll reports a.ini again and patches it in
+        result = corpus.delta.scan()
+        assert result is not None and result.changed_paths == [str(corpus.paths["a.ini"])]
+        full = corpus.full.run_once()
+        assert result.delta["store"] == "patched"
+        assert result.report.fingerprint() == full.report.fingerprint()
+        assert not result.passed
+        assert store_rows(scanner.store) == store_rows(corpus.fresh_store())
+        assert query_rows(scanner.store) == query_rows(corpus.fresh_store())
+
+
+class TestStorePathReporting:
+    def test_scan_result_stats_and_counter_record_the_path(self, tmp_path):
+        obs = observability.enable(tracing=False)
+        try:
+            corpus = DiffCorpus(tmp_path, 0)
+            assert corpus.delta.run_once().delta["store"] == "rebuilt"
+            corpus.entries["b.ini"][0] = ("Cluster", "Timeout", "10")
+            rewrite(corpus.paths["b.ini"], corpus.render("b.ini"))
+            assert corpus.delta.scan().delta["store"] == "patched"
+            corpus.entries["b.ini"].append(("node", "Replicas", "1"))
+            rewrite(corpus.paths["b.ini"], corpus.render("b.ini"))
+            assert corpus.delta.scan().delta["store"] == "rebuilt"
+            stats = corpus.delta.stats()["delta"]
+            assert (stats["store_patched"], stats["store_rebuilt"]) == (1, 2)
+            counter = obs.metrics.counter("confvalley_delta_store_patched_total")
+            assert counter.value() == 1
+        finally:
+            observability.disable()
 
 
 # ---------------------------------------------------------------------------

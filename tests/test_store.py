@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfValleyError
-from repro.repository import ConfigStore, InstanceKey
+from repro.repository import ConfigStore, InstanceKey, NaiveIndex, TrieIndex
 from repro.repository.model import ConfigInstance
 
 
@@ -77,6 +77,74 @@ class TestQuery:
     def test_instances_iteration(self, cluster_store):
         assert len(list(cluster_store.instances())) == 6
         assert len(cluster_store) == 6
+
+
+@pytest.fixture(params=[TrieIndex, NaiveIndex], ids=["trie", "naive"])
+def replace_store(request):
+    store = ConfigStore(index=request.param())
+    for text, value in (
+        ("Cluster::C1.Timeout", "30"),
+        ("ProxyIPs", "10.0.0.1"),
+        ("Cluster::C2.Timeout", "40"),
+        ("ProxyIPs", "10.0.0.2"),
+        ("ProxyIPs", "10.0.0.3"),
+    ):
+        store.add(inst(text, value))
+    return store
+
+
+def stored(store, key_text):
+    from repro.repository.keys import parse_instance_key
+
+    return store.get(parse_instance_key(key_text))
+
+
+class TestReplace:
+    def test_query_memo_is_invalidated(self, replace_store):
+        assert [i.value for i in replace_store.query("Timeout")] == ["30", "40"]
+        old = stored(replace_store, "Cluster::C2.Timeout")
+        replace_store.replace(old, ConfigInstance(old.key, "45", "test"))
+        assert [i.value for i in replace_store.query("Timeout")] == ["30", "45"]
+        assert [i.value for i in replace_store.query("*.Time*")] == ["30", "45"]
+
+    def test_class_list_position_and_load_order_are_kept(self, replace_store):
+        old = stored(replace_store, "ProxyIPs[2]")
+        new = ConfigInstance(old.key, "10.0.0.9", "test")
+        replace_store.replace(old, new)
+        members = replace_store.get_class(("ProxyIPs",)).instances
+        assert [i.value for i in members] == ["10.0.0.1", "10.0.0.9", "10.0.0.3"]
+        assert members[1] is new
+        assert [i.value for i in replace_store.instances()] == [
+            "30", "10.0.0.1", "40", "10.0.0.9", "10.0.0.3",
+        ]
+        assert [i.value for i in replace_store.query("ProxyIPs")] == [
+            "10.0.0.1", "10.0.0.9", "10.0.0.3",
+        ]
+        assert stored(replace_store, "ProxyIPs[2]") is new
+
+    def test_swap_is_its_own_inverse(self, replace_store):
+        before = [(i.key, i.value) for i in replace_store.instances()]
+        old = stored(replace_store, "Cluster::C1.Timeout")
+        new = ConfigInstance(old.key, "1", "test")
+        replace_store.replace(old, new)
+        replace_store.replace(new, old)
+        assert [(i.key, i.value) for i in replace_store.instances()] == before
+        assert replace_store.query("Cluster::C1.Timeout") == [old]
+
+    def test_key_mismatch_raises(self, replace_store):
+        old = stored(replace_store, "Cluster::C1.Timeout")
+        with pytest.raises(ConfValleyError):
+            replace_store.replace(old, inst("Cluster::C2.Timeout", "1"))
+        assert stored(replace_store, "Cluster::C1.Timeout") is old
+
+    def test_non_stored_old_raises(self, replace_store):
+        old = stored(replace_store, "Cluster::C1.Timeout")
+        lookalike = ConfigInstance(old.key, old.value, old.source)
+        with pytest.raises(ConfValleyError):
+            replace_store.replace(lookalike, ConfigInstance(old.key, "1", "test"))
+        with pytest.raises(ConfValleyError):
+            replace_store.replace(inst("Missing", "1"), inst("Missing", "2"))
+        assert [i.value for i in replace_store.query("Timeout")] == ["30", "40"]
 
 
 class TestListing1:
