@@ -10,11 +10,14 @@ Drives the whole surface the way an operator would:
    run to exit 1: the cross-store rule pack fires, the ``on_pass`` deploy
    gate skips, and the webhook step POSTs the failure to a real local
    HTTP receiver;
-4. the same pure-validation pipeline submitted as a ``mode=workflow`` job
+4. a long-lived engine given a one-key edit patches its kept store,
+   re-evaluates fewer statements than the spec has, and still matches a
+   direct scan's fingerprint;
+5. the same pure-validation pipeline submitted as a ``mode=workflow`` job
    against a live ``service --http --jobs`` subprocess finishes DONE with
    per-step statuses in the job record and a verdict fingerprint
    **byte-identical** to a direct in-process scan;
-5. SIGTERM shuts the service down cleanly.
+6. SIGTERM shuts the service down cleanly.
 
 Run directly (``make workflow-smoke``)::
 
@@ -40,6 +43,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.session import ValidationSession  # noqa: E402
 from repro.jobs.model import report_fingerprint_digest  # noqa: E402
+from repro.parallel.cache import SpecCache  # noqa: E402
+from repro.workflows import Workflow, WorkflowEngine  # noqa: E402
 
 ANNOUNCEMENT = re.compile(r"operator endpoint: (http://\S+)")
 STARTUP_DEADLINE = 30.0
@@ -181,7 +186,34 @@ def main() -> int:
     assert _Receiver.payloads[0]["workflow"] == "smoke"
     print("ok injected fault -> exit 1, gate skip, webhook delivered")
 
-    # 4. the pure pipeline as an asynchronous job: per-step statuses in
+    # 4. a long-lived engine: a one-key edit patches the kept store and
+    # re-evaluates only the statements it can affect
+    (workspace / "app.json").write_text(APP_JSON)
+    engine = WorkflowEngine(
+        Workflow.from_dict({"steps": [
+            {"name": "parse", "sources": [{"format": "json", "path": "app.json"}]},
+            {"name": "validate", "spec": "app.cpl"},
+            {"name": "report", "gate": "always"},
+        ]}),
+        base_dir=str(workspace),
+        spec_cache=SpecCache(),
+    )
+    engine.run()
+    (workspace / "app.json").write_text(APP_JSON.replace('"10"', '"20"'))
+    outcome = engine.run()
+    parse, validate = outcome.step("parse").detail, outcome.step("validate").detail
+    assert parse["store"] == {"default": "patched"}, parse
+    assert validate["lane"] == "delta", validate
+    assert validate["selected"] < validate["statements"], validate
+    session = ValidationSession()
+    session.load_source("json", str(workspace / "app.json"))
+    assert outcome.fingerprint() == session.validate(SPEC).fingerprint()
+    print(
+        f"ok one-key edit -> store patched, "
+        f"{validate['selected']}/{validate['statements']} statements re-run"
+    )
+
+    # 5. the pure pipeline as an asynchronous job: per-step statuses in
     # the job record, fingerprint parity with a direct in-process scan
     (workspace / "app.json").write_text(APP_JSON)
     pure = workspace / "pure.yaml"
@@ -245,7 +277,7 @@ def main() -> int:
         }
         print("ok GET /jobs/<id> -> per-step statuses")
 
-        # 5. clean SIGTERM shutdown
+        # 6. clean SIGTERM shutdown
         process.send_signal(signal.SIGTERM)
         assert process.wait(timeout=SHUTDOWN_DEADLINE) == 0
         print("ok SIGTERM -> clean shutdown")

@@ -7,7 +7,7 @@ specification statement, the set of configuration key patterns it depends
 on, and selects the statements whose patterns can reach any key in a
 :class:`~repro.repository.versioned.ChangeSet`.
 
-Two layers:
+Three layers:
 
 * :class:`DependencyIndex` — a reusable statement → key-pattern index over
   an already-parsed (or compiled) statement sequence.  Lookup is
@@ -17,6 +17,14 @@ Two layers:
   The continuous service attaches one index per compiled-spec cache entry
   (:meth:`repro.parallel.cache.SpecCache.attachment`), so it is built once
   and invalidated together with the compiled statements.
+* :class:`KeptStore` and :class:`SpliceLane` — the patch-and-splice path
+  every long-lived caller shares (the service's
+  :class:`~repro.service.DeltaScanner` and the workflow engine's
+  ``validate`` and ``shadow`` steps).  A kept store carries a store across
+  scans and turns the next scan's source parses into a
+  :class:`~repro.repository.versioned.ChangeSet`, patching values in place
+  when it can; a lane keeps one spec's per-unit reports over such a store,
+  re-evaluates the units a change can affect and splices the rest.
 * :class:`IncrementalValidator` — the pre-check-in gate: owns the parsed
   corpus, delegates selection to a :class:`DependencyIndex`, and validates
   the selected statements against the new store.
@@ -63,10 +71,12 @@ notations, binding pools, or compartment discovery can reach were touched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from ..cpl import ast, parse
+from ..observability import get_tracer
+from ..parallel.engine import ShardResult, WorkerState, _absorb, evaluate_shard
+from ..parallel.shards import Shard, is_parallel_safe, select_units
 from ..repository.keys import (
     InstanceKey,
     KeyPattern,
@@ -74,15 +84,25 @@ from ..repository.keys import (
     _name_matches,
     parse_pattern,
 )
+from ..repository.model import ConfigInstance
 from ..repository.store import ConfigStore
-from ..repository.versioned import ChangeSet
+from ..repository.versioned import ChangeSet, diff_stores
 from ..runtime import RuntimeProvider
+from ..runtime import clock as _clock
 from .evaluator import _collect_notations
 from .policy import ValidationPolicy
 from .report import ValidationReport
 from .session import ValidationSession
 
-__all__ = ["DependencyIndex", "IncrementalValidator"]
+__all__ = [
+    "DependencyIndex",
+    "KeptStore",
+    "StoreUpdate",
+    "SpliceLane",
+    "LaneRun",
+    "compile_for_splice",
+    "IncrementalValidator",
+]
 
 #: Predicate primitives whose verdict depends on ambient runtime state
 #: (filesystem, network) rather than the configuration store alone.
@@ -295,6 +315,25 @@ class DependencyIndex:
             if compartments:
                 self._compartments.append((index, compartments))
 
+    @classmethod
+    def for_spec(
+        cls, spec_cache, spec_text: str, fingerprint,
+        statements: Sequence[ast.Statement],
+    ) -> "DependencyIndex":
+        """The index of a compiled spec, shared through the spec cache.
+
+        Cached as an :meth:`~repro.parallel.cache.SpecCache.attachment` of
+        the compiled entry, so it is built once and evicted with it; built
+        uncached when there is no cache or the entry is not cached.
+        """
+        index = None
+        if spec_cache is not None:
+            index = spec_cache.attachment(
+                spec_text, fingerprint, "dependency_index",
+                lambda entry: cls(list(entry)),
+            )
+        return index if index is not None else cls(statements)
+
     # ------------------------------------------------------------------
 
     @property
@@ -345,6 +384,332 @@ class DependencyIndex:
     def affected_statements(self, change: ChangeSet) -> list[ast.Statement]:
         """The statements themselves, in original order."""
         return [self._statements[i] for i in self.affected(change)]
+
+
+# ---------------------------------------------------------------------------
+# Kept stores and splice lanes
+# ---------------------------------------------------------------------------
+
+
+class _Swap(NamedTuple):
+    """One value-only change a patched update applies to the kept store."""
+
+    position: int            # index of the source in the source list
+    index: int               # index of the instance in that source's parse
+    raw: ConfigInstance      # the reparsed driver instance
+    old: ConfigInstance      # the instance the kept store holds
+    new: ConfigInstance      # what the store holds after the swap
+
+
+class StoreUpdate:
+    """One planned step of a :class:`KeptStore`: a patch or a new store.
+
+    Planning mutates nothing.  :meth:`apply` swaps a patch's values into
+    the kept store, :meth:`undo` swaps back those applied so far (a swap
+    is its own inverse), and :meth:`KeptStore.commit` adopts the update.
+    """
+
+    def __init__(self, mode, store, sources, parsed, swaps, change):
+        #: ``"patched"`` (values swapped into the kept store) or ``"rebuilt"``
+        self.mode = mode
+        self.store = store
+        self.sources = sources
+        self.parsed = parsed
+        self.swaps = swaps
+        #: what changed against the kept store; ``None`` when there is
+        #: nothing to compare with (first update, or planned ``fresh``)
+        self.change: Optional[ChangeSet] = change
+        self._applied = 0
+
+    def apply(self) -> None:
+        for swap in self.swaps[self._applied:]:
+            self.store.replace(swap.old, swap.new)
+            self._applied += 1
+
+    def undo(self) -> None:
+        while self._applied:
+            self._applied -= 1
+            swap = self.swaps[self._applied]
+            self.store.replace(swap.new, swap.old)
+
+
+class KeptStore:
+    """A configuration store kept across scans, patched where it can be.
+
+    Per source it keeps the raw driver parse and the instances
+    ``ConfigStore.add`` placed for it — the same objects, except where
+    ``add`` disambiguated a duplicate key — and a patch swaps the changed
+    entries of both.  Keeping the parsed objects rather than each new
+    parse keeps one generation of instances alive, not two.
+    :meth:`update` plans the next scan's store from its parses:
+
+    * when the source list is the same and every source that was reparsed
+      yields the same ``(key, source)`` sequence as before, the update
+      *patches* the kept store, swapping each changed value in with
+      :meth:`ConfigStore.replace`, and the change set is exactly those
+      swaps (``modified`` only).  This is exact because ordinal
+      disambiguation and load order depend only on the key sequence in
+      source order, never on values, so every store key and position is
+      unchanged.  A source whose parse is the very object kept last time
+      (:meth:`raws`) is not compared at all;
+    * anything else *rebuilds* the store in source order, identical to the
+      store a full scan builds, and the change set is the diff against
+      the kept store (:meth:`rebuilt_change`).
+
+    ``sources`` are opaque hashable identities, compared by equality.
+    Every committed update that changed the store bumps :attr:`version`
+    and records its change, so a :class:`SpliceLane` stamped with the
+    previous version can catch up with a delta (:meth:`change_since`).
+    """
+
+    def __init__(self) -> None:
+        self.sources: tuple = ()
+        self.parsed: list[tuple[Sequence[ConfigInstance], list]] = []
+        self.store: Optional[ConfigStore] = None
+        self.version = 0
+        #: the change from ``version - 1`` to ``version`` (None = unknown)
+        self.change: Optional[ChangeSet] = None
+
+    @property
+    def stamp(self) -> tuple:
+        """Identity of the current store state, for :meth:`change_since`."""
+        return (self, self.version)
+
+    def raws(self) -> dict:
+        """The kept raw parse of each source."""
+        return {source: raw for source, (raw, __) in zip(self.sources, self.parsed)}
+
+    def change_since(self, stamp) -> Optional[ChangeSet]:
+        """The change since ``stamp``, or ``None`` when it is not known."""
+        if stamp is None or stamp[0] is not self or self.store is None:
+            return None
+        if stamp[1] == self.version:
+            return ChangeSet()
+        if stamp[1] == self.version - 1:
+            return self.change
+        return None
+
+    def update(
+        self, sources: tuple, raws: Sequence[Sequence[ConfigInstance]],
+        fresh: bool = False,
+    ) -> StoreUpdate:
+        """Plan the store for ``raws``, one parse per source in order.
+
+        ``fresh`` forces a rebuild without a diff, for callers about to
+        re-evaluate everything anyway.
+        """
+        swaps = None
+        if not fresh and self.store is not None and sources == self.sources:
+            swaps = self._value_swaps(raws)
+        if swaps is not None:
+            change = ChangeSet(modified=[(swap.old, swap.new) for swap in swaps])
+            return StoreUpdate(
+                "patched", self.store, sources, self.parsed, swaps, change
+            )
+        store = ConfigStore()
+        parsed = [(list(raw), store.add_all(raw)) for raw in raws]
+        change = None
+        if not fresh and self.store is not None:
+            change = self.rebuilt_change(self.store, store)
+        return StoreUpdate("rebuilt", store, sources, parsed, [], change)
+
+    def commit(self, update: StoreUpdate) -> None:
+        """Adopt an update (a patch must have been applied)."""
+        for swap in update.swaps:
+            raw, placed = update.parsed[swap.position]
+            raw[swap.index] = swap.raw
+            placed[swap.index] = swap.new
+        if update.store is not self.store or update.swaps:
+            self.version += 1
+            self.change = update.change
+        self.sources = update.sources
+        self.parsed = update.parsed
+        self.store = update.store
+
+    def _value_swaps(self, raws) -> Optional[list[_Swap]]:
+        """The swaps turning the kept store into ``raws``', or ``None``.
+
+        ``None`` means some reparsed source's ``(key, source)`` sequence
+        differs from its last parse, so the store must be rebuilt.
+        """
+        swaps = []
+        for position, (raw, (before_raw, placed)) in enumerate(
+            zip(raws, self.parsed)
+        ):
+            if raw is before_raw:
+                continue  # not reparsed
+            if len(raw) != len(before_raw):
+                return None
+            for index, (before, after) in enumerate(zip(before_raw, raw)):
+                if before.key != after.key or before.source != after.source:
+                    return None
+                if before.value != after.value:
+                    old = placed[index]
+                    # add() placed the parsed object itself unless it had
+                    # to disambiguate the key; keep the placed key either way
+                    new = after if old is before else ConfigInstance(
+                        old.key, after.value, after.source
+                    )
+                    swaps.append(_Swap(position, index, after, old, new))
+        return swaps
+
+    @staticmethod
+    def rebuilt_change(old: ConfigStore, new: ConfigStore) -> ChangeSet:
+        """:func:`diff_stores`, widened to all a spliced report depends on.
+
+        Reports also carry each instance's source and list instances in
+        load order.  So a kept key whose source changed counts as
+        modified, and kept keys whose relative order changed — the span
+        between the first and last position where the two load orders of
+        the kept keys disagree — count as removed and re-added, which also
+        re-runs compartment discovery over them.
+        """
+        change = diff_stores(old, new)
+        new_by_key = {i.key: i for i in new.instances()}
+        before = [i for i in old.instances() if i.key in new_by_key]
+        kept = {i.key for i in before}
+        after = [i for i in new.instances() if i.key in kept]
+        moved = [
+            position
+            for position, (previous, current) in enumerate(zip(before, after))
+            if previous.key != current.key
+        ]
+        span = before[moved[0]:moved[-1] + 1] if moved else []
+        span_keys = {i.key for i in span}
+        change.modified = [
+            pair for pair in change.modified if pair[0].key not in span_keys
+        ] + [
+            (previous, new_by_key[previous.key])
+            for previous in before
+            if previous.key not in span_keys
+            and previous.source != new_by_key[previous.key].source
+            and previous.value == new_by_key[previous.key].value
+        ]
+        change.removed += span
+        change.added += [new_by_key[i.key] for i in span]
+        return change
+
+
+def compile_for_splice(
+    session: ValidationSession, spec_text: str
+) -> Optional[list[ast.Statement]]:
+    """Compile ``spec_text``, or ``None`` when a splice cannot match a full run.
+
+    Programs with ``load``/``include`` commands have inputs outside the
+    spec text, and programs that fail
+    :func:`~repro.parallel.shards.is_parallel_safe` have cross-statement
+    semantics; both must be evaluated whole.
+    """
+    statements = session.compile(spec_text)
+    if session._last_compile_commands or not is_parallel_safe(
+        statements, session.policy
+    ):
+        return None
+    return statements
+
+
+class LaneRun(NamedTuple):
+    """What one :meth:`SpliceLane.run` produced."""
+
+    report: ValidationReport
+    lane: "SpliceLane"       # the lane to keep if the caller commits
+    mode: str                # "bootstrap" (every unit ran) or "delta"
+    statements: int          # units (non-``let`` statements) in the spec
+    selected: int            # units evaluated this run
+    splice_seconds: float
+
+
+class SpliceLane:
+    """One spec's per-unit reports over one store, kept between scans.
+
+    A lane is immutable: :meth:`run` returns the next lane inside its
+    :class:`LaneRun`, so a caller keeps the previous one until it commits,
+    and a failed run leaves nothing half-updated.
+    """
+
+    __slots__ = ("spec_key", "stamp", "unit_reports")
+
+    def __init__(self, spec_key=None, stamp=None, unit_reports=None):
+        #: (spec text, compiler-options fingerprint) the reports belong to
+        self.spec_key: Optional[tuple] = spec_key
+        #: the :attr:`KeptStore.stamp` of the store state they describe
+        self.stamp = stamp
+        self.unit_reports: dict[int, ValidationReport] = unit_reports or {}
+
+    def run(
+        self,
+        session: ValidationSession,
+        spec_key: tuple,
+        statements: Sequence[ast.Statement],
+        store: ConfigStore,
+        change: Optional[ChangeSet],
+        stamp=None,
+        evaluate: Optional[Callable[[WorkerState, Shard], ShardResult]] = None,
+    ) -> LaneRun:
+        """Evaluate the units ``change`` can affect and splice the rest.
+
+        ``statements`` come from :func:`compile_for_splice` on ``session``,
+        whose runtime, policy, guard and analytics settings the evaluation
+        uses; ``spec_key`` is ``(spec text, session options fingerprint)``.
+        A ``None`` change, or a spec other than this lane's, evaluates
+        every unit.  Units are evaluated as one shard by ``evaluate``
+        (:func:`~repro.parallel.engine.evaluate_shard` by default) and the
+        merged report lists them in statement order, so its
+        :meth:`~repro.core.report.ValidationReport.fingerprint` equals a
+        full evaluation's.
+        """
+        started = _clock.now()
+        lets, units = select_units(statements)
+        if change is None or spec_key != self.spec_key:
+            mode, selected = "bootstrap", units
+        else:
+            mode = "delta"
+            index = DependencyIndex.for_spec(session.spec_cache, *spec_key, statements)
+            affected = set(index.affected(change))
+            selected = tuple(unit for unit in units if unit.index in affected)
+        state = WorkerState(
+            store=store,
+            runtime=session.runtime,
+            policy=session.policy,
+            lets=lets,
+            profile=session.evaluator.profile,
+            analytics=session.evaluator.analytics,
+            guard=session.spec_guard,
+        )
+        with get_tracer().span(
+            "evaluate", mode=mode, statements=len(units), selected=len(selected)
+        ):
+            result = (evaluate or evaluate_shard)(state, Shard("delta", selected))
+        splice_started = _clock.now()
+        fresh = dict(result.unit_reports)
+        merged = {
+            unit.index: (
+                fresh[unit.index] if unit.index in fresh
+                else self.unit_reports[unit.index]
+            )
+            for unit in units
+        }
+        report = ValidationReport()
+        compile_hit, session._last_compile_hit = session._last_compile_hit, None
+        if compile_hit is not None:
+            if compile_hit:
+                report.cache_hits += 1
+            else:
+                report.cache_misses += 1
+        for unit_report in merged.values():
+            _absorb(report, unit_report)
+        report.executor = "delta"
+        report.shards_run += 1
+        now = _clock.now()
+        report.elapsed_seconds = now - started
+        return LaneRun(
+            report,
+            SpliceLane(spec_key, stamp, merged),
+            mode,
+            len(units),
+            len(selected),
+            now - splice_started,
+        )
 
 
 class IncrementalValidator:

@@ -131,6 +131,10 @@ class ValidationSession:
             guard=spec_guard, analytics=analytics,
         )
         self._last_compile_hit: Optional[bool] = None
+        #: did the last compile run ``load``/``include`` commands?  Their
+        #: side effects (loaded sources, included files) are outside the
+        #: spec text, so incremental callers must not splice such programs
+        self._last_compile_commands = False
 
     # ------------------------------------------------------------------
     # Loading configuration data
@@ -217,6 +221,7 @@ class ValidationSession:
                 cached = self.spec_cache.lookup(text, fingerprint)
                 if cached is not None:
                     self._last_compile_hit = True
+                    self._last_compile_commands = False  # never cached
                     span.set(cache="hit", statements=len(cached))
                     return list(cached)
             program = parse(text)
@@ -224,6 +229,7 @@ class ValidationSession:
                 isinstance(statement, (ast.LoadCmd, ast.IncludeCmd))
                 for statement in program.statements
             )
+            self._last_compile_commands = has_commands
             statements = self._process_commands(program.statements)
             if self.optimize:
                 statements = optimize_statements(statements, self.compiler_options)

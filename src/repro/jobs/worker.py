@@ -319,16 +319,9 @@ class JobExecutor:
         baseline = self._build_session(job)
         self._load_sources(baseline, job.baseline_sources)
         change = diff_stores(baseline.store, session.store)
-        index = None
-        if self.spec_cache is not None:
-            index = self.spec_cache.attachment(
-                spec_text,
-                session._options_fingerprint(),
-                "dependency_index",
-                lambda entry: DependencyIndex(list(entry)),
-            )
-        if index is None:
-            index = DependencyIndex(statements)
+        index = DependencyIndex.for_spec(
+            self.spec_cache, spec_text, session._options_fingerprint(), statements
+        )
         affected = set(index.affected(change))
         lets, all_units = select_units(statements)
         selected = tuple(unit for unit in all_units if unit.index in affected)

@@ -65,7 +65,6 @@ from .metrics import (
     NullRegistry,
     parse_prometheus,
 )
-from .server import ObservabilityServer, parse_http_address
 from .snapshot import load_snapshot, render_stats, write_snapshot
 from .tracing import (
     NULL_TRACER,
@@ -114,6 +113,16 @@ __all__ = [
     "load_snapshot",
     "render_stats",
 ]
+
+
+def __getattr__(name: str):
+    # the operator endpoint pulls in http.server, http.client and ssl;
+    # load it on first use, not with every validation import
+    if name in ("ObservabilityServer", "parse_http_address"):
+        from . import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

@@ -22,9 +22,7 @@ constants and documented in ``docs/PERFORMANCE.md``):
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,6 +78,8 @@ class ThreadShardExecutor:
     def run(
         self, state: "WorkerState", shards: Sequence["Shard"]
     ) -> list["ShardResult"]:
+        from concurrent.futures import ThreadPoolExecutor
+
         from .engine import evaluate_shard
 
         workers = min(self.max_workers, max(1, len(shards)))
@@ -120,11 +120,15 @@ class ProcessShardExecutor:
 
     @staticmethod
     def available() -> bool:
+        import multiprocessing
+
         return "fork" in multiprocessing.get_all_start_methods()
 
     def run(
         self, state: "WorkerState", shards: Sequence["Shard"]
     ) -> list["ShardResult"]:
+        import multiprocessing
+
         global _FORK_PAYLOAD
         if not self.available():
             raise RuntimeError("process executor requires the 'fork' start method")

@@ -26,9 +26,6 @@ the scan.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -180,6 +177,9 @@ def _thread_dispatch(
     executor is exercised one shard at a time (``executor.run(state,
     [shard])``) so its own failure modes stay observable to the supervisor.
     """
+    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import TimeoutError as FutureTimeout
+
     from .engine import evaluate_shard
 
     def task(shard: "Shard") -> "ShardResult":
@@ -245,6 +245,8 @@ def _process_dispatch(
     context terminates it, so wedged workers die with the scan instead of
     leaking.
     """
+    import multiprocessing
+
     from . import executors as _executors
     from .executors import _evaluate_forked
 

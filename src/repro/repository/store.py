@@ -52,9 +52,9 @@ class ConfigStore:
         cls.instances.append(instance)
         return instance
 
-    def add_all(self, instances: Iterable[ConfigInstance]) -> None:
-        for instance in instances:
-            self.add(instance)
+    def add_all(self, instances: Iterable[ConfigInstance]) -> list[ConfigInstance]:
+        """Register instances in order; returns what :meth:`add` placed."""
+        return [self.add(instance) for instance in instances]
 
     def replace(self, old: ConfigInstance, new: ConfigInstance) -> None:
         """Swap the stored instance ``old`` for ``new`` at the same key.

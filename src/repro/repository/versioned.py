@@ -33,14 +33,14 @@ diff the two heads, hand the change set to incremental validation::
     >>> [key.render() for key in change.touched_keys()]
     ['fabric.Timeout']
 
-:func:`diff_stores` is the repository-free variant the delta scanner uses
-(:class:`repro.service.DeltaScanner` diffs the live store pair it parsed
-itself, no commits involved):
+:func:`diff_stores` is the repository-free variant the delta path uses
+(:meth:`repro.core.incremental.KeptStore.rebuilt_change` diffs the kept
+store against the one it rebuilt, no commits involved):
 
     >>> from repro.repository.store import ConfigStore
     >>> old, new = ConfigStore(), ConfigStore()
-    >>> old.add_all([inst("fabric.Timeout", "30")])
-    >>> new.add_all([inst("fabric.Timeout", "30"), inst("fabric.Mode", "fast")])
+    >>> placed = old.add_all([inst("fabric.Timeout", "30")])
+    >>> placed = new.add_all([inst("fabric.Timeout", "30"), inst("fabric.Mode", "fast")])
     >>> diff_stores(old, new).summary()
     '+1 -0 ~0 instance(s), 1 class(es) touched'
     >>> diff_stores(None, old).summary()     # no baseline: everything added

@@ -46,9 +46,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
-from .core.incremental import DependencyIndex
+from .core.incremental import KeptStore, SpliceLane, compile_for_splice
 from .core.policy import ValidationPolicy
 from .core.report import HealthBlock, ValidationReport
 from .core.session import ValidationSession, resolve_driver
@@ -57,11 +57,8 @@ from .errors import DriverError
 from .observability import get_logger, get_metrics, get_tracer, write_snapshot
 from .observability.analytics import SpecAnalytics, merge_spec_profiles
 from .parallel.cache import SpecCache, SpecCacheStats
-from .parallel.engine import WorkerState, _absorb, evaluate_shard
-from .parallel.shards import Shard, is_parallel_safe, select_units
-from .repository.model import ConfigInstance
+from .parallel.engine import evaluate_shard
 from .repository.store import ConfigStore
-from .repository.versioned import ChangeSet, diff_stores
 from .resilience import ResiliencePolicy, SourceSupervisor, SpecCircuitBreaker
 from .runtime import RuntimeProvider
 from .runtime import clock as _clock
@@ -121,40 +118,22 @@ class ScanResult:
         return self.report.passed
 
 
-class _Swap(NamedTuple):
-    """One value-only change the patched path applies to the kept store."""
-
-    position: int            # index of the source in the source list
-    index: int               # index of the instance in that source's parse
-    raw: ConfigInstance      # the reparsed driver instance
-    old: ConfigInstance      # the instance the kept store holds
-    new: ConfigInstance      # what the store holds after the swap
-
-
 class DeltaScanner:
     """Incremental scan engine: re-validate only what a change can affect.
 
     Owned by a :class:`ValidationService` constructed with ``delta=True``.
-    Between scans it retains the last validated store, every source's raw
-    driver parse together with the instances ``ConfigStore.add`` placed
-    for it, and the per-unit reports of the last scan.  A delta scan then:
+    It composes the two halves of the shared patch-and-splice path in
+    :mod:`repro.core.incremental`: a :class:`~repro.core.incremental.KeptStore`
+    (the last validated store plus every source's raw parse and placed
+    instances) and a :class:`~repro.core.incremental.SpliceLane` (the
+    per-unit reports of the last scan).  A delta scan then:
 
-    1. reparses only the sources whose probe token changed.  When the
-       source list is the same as last scan's and every reparsed source
-       yields the same ``(key, source)`` sequence as before, the scan
-       *patches* the retained store: each changed value is swapped in
-       with :meth:`ConfigStore.replace`, and the change set is exactly
-       those swaps (``modified`` only).  This is exact because ordinal
-       disambiguation and load order depend only on the key sequence in
-       source order, never on values, so every store key and position is
-       unchanged.  Any other scan — bootstrap, spec change, keys added,
-       removed or reordered, a changed source list — *rebuilds* the store
-       in source order, identical to the store a full scan would build
-       (``ConfigStore.add`` never mutates the parsed instances it is
-       given);
-    2. on a rebuild, diffs the new store against the retained one
-       (:func:`repro.repository.versioned.diff_stores`); either way asks
-       the spec's :class:`~repro.core.incremental.DependencyIndex` —
+    1. reparses only the sources whose probe token changed, and hands the
+       parses to the kept store, which *patches* itself in place when
+       every reparsed source kept its ``(key, source)`` sequence (the
+       change set is the swapped values) and *rebuilds* otherwise — as
+       does every bootstrap scan (first scan or spec change);
+    2. asks the spec's :class:`~repro.core.incremental.DependencyIndex` —
        cached as an :meth:`~repro.parallel.cache.SpecCache.attachment` of
        the compiled entry — for the affected statement indices;
     3. evaluates just those units via the parallel engine's
@@ -166,29 +145,18 @@ class DeltaScanner:
 
     :meth:`scan` returns ``None`` whenever incremental validation cannot
     be proven equivalent to a full scan — programs with ``load`` or
-    ``include`` commands (compile-time side effects) and programs that
+    ``include`` commands (inputs outside the spec text) and programs that
     fail :func:`~repro.parallel.shards.is_parallel_safe` (cross-statement
     ordering semantics) — and the caller runs the full path instead.
     State commits atomically at the *end* of a successful scan, so an
     exception mid-scan leaves the previous snapshot intact: a patched
-    scan swaps every applied value back (a swap is its own inverse)
-    before re-raising.
+    scan swaps every applied value back before re-raising.
     """
 
     def __init__(self, service: "ValidationService"):
         self._service = service
-        #: the source list the retained store was built from, and per
-        #: source its raw driver parse plus the instances the store placed
-        #: for it — the same objects, except where ``ConfigStore.add``
-        #: disambiguated a duplicate key
-        self._sources: tuple[SourceSpec, ...] = ()
-        self._parsed: list[tuple[list, list]] = []
-        #: store and per-unit reports of the last committed delta scan
-        self._store: Optional[ConfigStore] = None
-        self._unit_reports: dict[int, ValidationReport] = {}
-        #: identity (spec text, compiler-options fingerprint) of the
-        #: compiled program the retained unit reports belong to
-        self._spec_key: Optional[tuple] = None
+        self._kept = KeptStore()
+        self._lane = SpliceLane()
         self.scans = 0
         self.fallbacks = 0
         self.selected_total = 0
@@ -199,7 +167,7 @@ class DeltaScanner:
     @property
     def store(self) -> Optional[ConfigStore]:
         """The last validated store (feeds coverage analytics)."""
-        return self._store
+        return self._kept.store
 
     def reset(self) -> None:
         """Drop all retained state; the next delta scan bootstraps.
@@ -210,11 +178,8 @@ class DeltaScanner:
         that has since recovered) would be spliced back in and diverge
         from what a full scan observes.
         """
-        self._sources = ()
-        self._parsed = []
-        self._store = None
-        self._spec_key = None
-        self._unit_reports.clear()
+        self._kept = KeptStore()
+        self._lane = SpliceLane()
 
     def stats(self) -> dict:
         """JSON-safe lifetime counters for ``stats()`` / the snapshot."""
@@ -245,22 +210,14 @@ class DeltaScanner:
         if not os.path.isabs(spec_path):
             spec_path = os.path.join(session.base_dir, spec_path)
         spec_text = session.runtime.read_bytes(spec_path).decode("utf-8")
-        statements = session.compile(spec_text)
-        compile_hit, session._last_compile_hit = session._last_compile_hit, None
-        if session.store.instance_count:
-            # the program had load/include commands: compiling it loaded
-            # sources as a side effect, which the splice cannot reproduce
+        statements = compile_for_splice(session, spec_text)
+        if statements is None:
             return None
-        if not is_parallel_safe(statements, session.policy):
-            return None  # cross-statement semantics require one serial run
-        fingerprint = session._options_fingerprint()
-        spec_key = (spec_text, fingerprint)
+        spec_key = (spec_text, session._options_fingerprint())
 
         changed_set = set(changed)
         sources = tuple(service.sources)
-        retained = {
-            source: raw for source, (raw, __) in zip(self._sources, self._parsed)
-        }
+        retained = self._kept.raws()
         raws = []
         for source in sources:
             driver_name = resolve_driver(source.format_name, source.path)
@@ -271,112 +228,32 @@ class DeltaScanner:
                 raw = list(self._parse(session, driver_name, source))
             raws.append(raw)
 
-        lets, units = select_units(statements)
-        bootstrap = self._store is None or spec_key != self._spec_key
-        swaps = None
-        if not bootstrap and sources == self._sources:
-            swaps = self._value_swaps(raws)
-        if swaps is not None:
-            store_mode = "patched"
-            store = self._store
-            parsed = self._parsed
-        else:
-            store_mode = "rebuilt"
-            swaps = []
-            store = ConfigStore()
-            parsed = [(raw, [store.add(i) for i in raw]) for raw in raws]
-
-        if bootstrap:
-            mode = "bootstrap"
-            change = None
-            selected_units = units
-        else:
-            mode = "delta"
-            if store_mode == "patched":
-                change = ChangeSet(modified=[(s.old, s.new) for s in swaps])
-            else:
-                change = self._rebuilt_change(self._store, store)
-            index = None
-            if service.spec_cache is not None:
-                index = service.spec_cache.attachment(
-                    spec_text,
-                    fingerprint,
-                    "dependency_index",
-                    lambda entry: DependencyIndex(list(entry)),
-                )
-            if index is None:  # cache miss or uncacheable-by-policy entry
-                index = DependencyIndex(statements)
-            affected = set(index.affected(change))
-            selected_units = tuple(
-                unit for unit in units if unit.index in affected
-            )
-
-        state = WorkerState(
-            store=store,
-            runtime=session.runtime,
-            policy=session.policy,
-            lets=lets,
-            profile=session.evaluator.profile,
-            analytics=session.evaluator.analytics,
-            guard=guard,
-        )
-        applied: list[_Swap] = []
+        bootstrap = self._kept.store is None or spec_key != self._lane.spec_key
+        update = self._kept.update(sources, raws, fresh=bootstrap)
         try:
-            for swap in swaps:
-                store.replace(swap.old, swap.new)
-                applied.append(swap)
-            tracer = get_tracer()
-            with tracer.span(
-                "evaluate",
-                mode=mode,
-                statements=len(units),
-                selected=len(selected_units),
-            ):
-                result = evaluate_shard(state, Shard("delta", selected_units))
-            splice_started = _clock.now()
-            fresh = dict(result.unit_reports)
-            merged: dict[int, ValidationReport] = {}
-            for unit in units:
-                if unit.index in fresh:
-                    merged[unit.index] = fresh[unit.index]
-                else:
-                    merged[unit.index] = self._unit_reports[unit.index]
+            update.apply()
+            run = self._lane.run(
+                session, spec_key, statements, update.store, update.change,
+                evaluate=evaluate_shard,
+            )
         except BaseException:
             # the kept store must still be the last committed snapshot
-            for swap in reversed(applied):
-                store.replace(swap.new, swap.old)
+            update.undo()
             raise
-        report = ValidationReport()
-        if compile_hit is not None:
-            if compile_hit:
-                report.cache_hits += 1
-            else:
-                report.cache_misses += 1
-        for position in sorted(merged):
-            _absorb(report, merged[position])
-        splice_seconds = _clock.now() - splice_started
-        report.executor = "delta"
-        report.shards_run += 1
+        report = run.report
         report.elapsed_seconds = _clock.now() - started
 
         # atomic state commit: apart from the swaps (undone on failure
         # above) nothing mutated self, so an exception anywhere earlier
         # leaves the previous snapshot intact
-        for swap in swaps:
-            raw, placed = parsed[swap.position]
-            raw[swap.index] = swap.raw
-            placed[swap.index] = swap.new
-        self._sources = sources
-        self._parsed = parsed
-        self._store = store
-        self._spec_key = spec_key
-        self._unit_reports = merged
-        selected = len(selected_units)
-        skipped = len(units) - selected
+        self._kept.commit(update)
+        self._lane = run.lane
+        selected = run.selected
+        skipped = run.statements - selected
         self.scans += 1
         self.selected_total += selected
         self.skipped_total += skipped
-        if store_mode == "patched":
+        if update.mode == "patched":
             self.store_patched += 1
         else:
             self.store_rebuilt += 1
@@ -394,85 +271,22 @@ class DeltaScanner:
                 "confvalley_delta_store_patched_total",
                 "Delta scans that patched the kept store in place.",
             )
-            if store_mode == "patched":
+            if update.mode == "patched":
                 patched.inc()
             metrics.histogram(
                 "confvalley_delta_splice_seconds",
                 "Wall-clock time merging retained and fresh unit reports.",
-            ).observe(splice_seconds)
+            ).observe(run.splice_seconds)
         info = {
-            "mode": mode,
-            "store": store_mode,
-            "statements_total": len(units),
+            "mode": run.mode,
+            "store": update.mode,
+            "statements_total": run.statements,
             "selected": selected,
             "skipped": skipped,
-            "splice_seconds": round(splice_seconds, 6),
-            "change": change.summary() if change is not None else None,
+            "splice_seconds": round(run.splice_seconds, 6),
+            "change": update.change.summary() if update.change is not None else None,
         }
         return report, info
-
-    @staticmethod
-    def _rebuilt_change(old: ConfigStore, new: ConfigStore) -> ChangeSet:
-        """:func:`diff_stores`, widened to all a spliced report depends on.
-
-        Reports also carry each instance's source and list instances in
-        load order.  So a kept key whose source changed counts as
-        modified, and kept keys whose relative order changed — the span
-        between the first and last position where the two load orders of
-        the kept keys disagree — count as removed and re-added, which also
-        re-runs compartment discovery over them.
-        """
-        change = diff_stores(old, new)
-        new_by_key = {i.key: i for i in new.instances()}
-        before = [i for i in old.instances() if i.key in new_by_key]
-        kept = {i.key for i in before}
-        after = [i for i in new.instances() if i.key in kept]
-        moved = [
-            position
-            for position, (previous, current) in enumerate(zip(before, after))
-            if previous.key != current.key
-        ]
-        span = before[moved[0]:moved[-1] + 1] if moved else []
-        span_keys = {i.key for i in span}
-        change.modified = [
-            pair for pair in change.modified if pair[0].key not in span_keys
-        ] + [
-            (previous, new_by_key[previous.key])
-            for previous in before
-            if previous.key not in span_keys
-            and previous.source != new_by_key[previous.key].source
-            and previous.value == new_by_key[previous.key].value
-        ]
-        change.removed += span
-        change.added += [new_by_key[i.key] for i in span]
-        return change
-
-    def _value_swaps(self, raws: list[list]) -> Optional[list[_Swap]]:
-        """The swaps turning the kept store into this scan's, or ``None``.
-
-        ``None`` means some reparsed source's ``(key, source)`` sequence
-        differs from its last parse, so the store must be rebuilt.
-        """
-        swaps = []
-        for position, (raw, (before_raw, placed)) in enumerate(
-            zip(raws, self._parsed)
-        ):
-            if raw is before_raw:
-                continue  # not reparsed
-            if len(raw) != len(before_raw):
-                return None
-            for index, (before, after) in enumerate(zip(before_raw, raw)):
-                if before.key != after.key or before.source != after.source:
-                    return None
-                if before.value != after.value:
-                    old = placed[index]
-                    # add() placed the parsed object itself unless it had
-                    # to disambiguate the key; keep the placed key either way
-                    new = after if old is before else ConfigInstance(
-                        old.key, after.value, after.source
-                    )
-                    swaps.append(_Swap(position, index, after, old, new))
-        return swaps
 
     @staticmethod
     def _parse(session: ValidationSession, driver_name: str, source: "SourceSpec"):

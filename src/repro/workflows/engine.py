@@ -9,9 +9,9 @@ each step the engine
    timed out is skipped itself, unless its gate is ``always``;
 2. **evaluates the gate** against the violations accumulated so far;
 3. **tries the splice cache** — a spliceable step whose input digest
-   (options + upstream digests + source/spec probe tokens) matches the
-   previous run reuses that run's outputs without re-executing, the
-   workflow-level analogue of the delta scanner's unit-report splice;
+   (options + upstream digests + source/spec probe tokens, the shadow
+   text's hash) matches the previous run reuses that run's outputs
+   without re-executing;
 4. **supervises the run** — a step with a ``timeout`` executes on a
    runner thread that is *abandoned* when the budget expires (the same
    abandonment contract as the job worker: Python cannot safely interrupt
@@ -20,6 +20,20 @@ each step the engine
    never crashes — and its outputs are discarded, which is safe because
    step runners return outputs instead of mutating shared state
    (:mod:`repro.workflows.steps`).
+
+Steps that do run re-derive only what changed.  The engine keeps one
+:class:`~repro.core.incremental.KeptStore` per store name across runs:
+parse outputs feed it on the engine thread, and it is brought up to date
+before the first non-parse step (and before ``outcome.store``), patching
+values in place when the keys are unchanged.  ``validate`` and ``shadow``
+steps evaluate through the :class:`~repro.core.incremental.SpliceLane`
+they kept last time, which re-runs only the statements the kept store's
+change can affect — the delta scanner's patch-and-splice path.  A lane
+is kept only when its step finished ``ok``.  A timed-out runner may still
+be reading a kept store, so any ``timeout`` drops every kept store and
+lane, as does :meth:`WorkflowEngine.reset`; ``outcome.store`` is the kept
+store and stays valid until the next run.  With ``splice=False`` every
+run builds fresh stores and evaluates every statement.
 
 Every run opens a ``workflow[name]`` span with one ``step[name]`` child
 per step — including skipped steps, whose span carries
@@ -35,6 +49,7 @@ import json
 import threading
 from typing import Callable, Optional
 
+from ..core.incremental import KeptStore
 from ..observability import get_metrics, get_tracer
 from ..repository.store import ConfigStore
 from ..runtime import clock as _clock
@@ -93,18 +108,33 @@ class WorkflowEngine:
             get_step_kind(step.kind)
         #: splice cache: step name → {digest, detail, output}
         self._retained: dict[str, dict] = {}
+        #: kept store per store name, and kept splice lane per step name
+        self._kept: dict[str, KeptStore] = {}
+        self._lanes: dict = {}
         #: the most recent run's report (service stats, ``GET /stats``)
         self.last: Optional[WorkflowReport] = None
         self.runs = 0
         self.steps_run = 0
         self.steps_spliced = 0
         self.gate_skips = 0
+        self.store_patched = 0
+        self.store_rebuilt = 0
+        self.statements_selected = 0
+        self.statements_skipped = 0
 
     # ------------------------------------------------------------------
 
     def reset(self) -> None:
-        """Drop the splice cache; the next run executes every step."""
+        """Drop the splice cache, kept stores and lanes; the next run
+        executes every step over fresh stores."""
         self._retained.clear()
+        self._drop_kept()
+
+    def _drop_kept(self, ctx: Optional[WorkflowContext] = None) -> None:
+        self._kept.clear()
+        self._lanes.clear()
+        if ctx is not None:
+            ctx.kept.clear()
 
     def stats(self) -> dict:
         """JSON-safe lifetime counters plus the last run's step statuses."""
@@ -115,6 +145,10 @@ class WorkflowEngine:
             "steps_run": self.steps_run,
             "steps_spliced": self.steps_spliced,
             "gate_skips": self.gate_skips,
+            "store_patched": self.store_patched,
+            "store_rebuilt": self.store_rebuilt,
+            "statements_selected": self.statements_selected,
+            "statements_skipped": self.statements_skipped,
             "last": (
                 {
                     "passed": self.last.passed,
@@ -153,6 +187,7 @@ class WorkflowEngine:
             post_fn=self.post_fn,
             analytics=self.analytics,
         )
+        ctx.lanes = self._lanes
         outcomes: dict[str, StepResult] = {}
         digests: dict[str, Optional[str]] = {}
         with tracer.span(
@@ -178,6 +213,7 @@ class WorkflowEngine:
                 self._observe_step(metrics, step, result)
                 if progress is not None:
                     progress(ctx.step_payload())
+            self._build_stores(ctx)
         report = ctx.merged
         report.health.finalize()
         outcome = WorkflowReport(
@@ -212,6 +248,8 @@ class WorkflowEngine:
         digests: dict,
     ) -> None:
         """Decide skip/splice/run for one step and record its outcome."""
+        if step.kind != "parse":
+            self._build_stores(ctx)
         blocked = [
             name
             for name in step.after
@@ -236,7 +274,7 @@ class WorkflowEngine:
             and retained["digest"] == digest
         ):
             splice_started = _clock.now()
-            self._apply(ctx, retained["output"])
+            self._apply(ctx, step, retained["output"], spliced=True)
             result.status = StepStatus.OK
             result.spliced = True
             result.detail = dict(retained["detail"])
@@ -244,6 +282,15 @@ class WorkflowEngine:
             self.steps_spliced += 1
             return
         output = self._execute(ctx, step, result)
+        if result.status == StepStatus.OK and output.lane is not None:
+            self._lanes[step.name] = output.lane
+            self.statements_selected += output.detail["selected"]
+            self.statements_skipped += (
+                output.detail["statements"] - output.detail["selected"]
+            )
+        else:
+            # a failed run leaves no lane behind; a full run makes it stale
+            self._lanes.pop(step.name, None)
         if result.status == StepStatus.OK and digest is not None:
             self._retained[step.name] = {
                 "digest": digest,
@@ -291,6 +338,8 @@ class WorkflowEngine:
                     result.seconds = _clock.now() - started
                     self._record_health(ctx, step, "timeout", message)
                     self.steps_run += 1
+                    # the abandoned runner may still read a kept store
+                    self._drop_kept(ctx)
                     return None
         result.seconds = _clock.now() - started
         self.steps_run += 1
@@ -300,25 +349,70 @@ class WorkflowEngine:
             self._record_health(ctx, step, "error", box["error"])
             return None
         output: StepOutput = box["output"]
-        self._apply(ctx, output)
+        self._apply(ctx, step, output)
         result.status = StepStatus.OK
         result.detail = dict(output.detail)
         return output
 
     @staticmethod
-    def _apply(ctx: WorkflowContext, output: StepOutput) -> None:
+    def _apply(
+        ctx: WorkflowContext,
+        step: WorkflowStep,
+        output: StepOutput,
+        spliced: bool = False,
+    ) -> None:
         """Publish a finished step's outputs (engine thread only)."""
         if output.stores:
-            for name, instances in output.stores:
-                store = ctx.stores.get(name)
-                if store is None:
-                    store = ctx.stores[name] = ConfigStore()
-                store.add_all(instances)
+            for position, (name, instances) in enumerate(output.stores):
+                ctx.feeds.setdefault(name, []).append(
+                    ((step.name, position), instances, spliced)
+                )
+                ctx.unbuilt.add(name)
         if output.store_meta:
             for name, flags in output.store_meta.items():
                 ctx.store_meta.setdefault(name, {}).update(flags)
         if output.report is not None:
             ctx.merged.merge(output.report)
+
+    def _build_stores(self, ctx: WorkflowContext) -> None:
+        """Bring every store fed since the last build up to date.
+
+        A kept store patches itself when its sources kept their keys.  A
+        spliced parse output feeds the parse the kept store already holds
+        for it, which is not compared at all.  Each feeding parse step's
+        detail records the path.
+        """
+        for name in sorted(ctx.unbuilt):
+            feeds = ctx.feeds[name]
+            if self.splice:
+                kept = self._kept.setdefault(name, KeptStore())
+                held = kept.raws()
+                update = kept.update(
+                    tuple(source for source, __, __ in feeds),
+                    [
+                        held.get(source, raw) if spliced else raw
+                        for source, raw, spliced in feeds
+                    ],
+                )
+                update.apply()
+                kept.commit(update)
+                ctx.stores[name] = kept.store
+                ctx.kept[name] = kept
+                mode = update.mode
+                if mode == "patched":
+                    self.store_patched += 1
+                else:
+                    self.store_rebuilt += 1
+            else:
+                store = ctx.stores[name] = ConfigStore()
+                for __, raw, __ in feeds:
+                    store.add_all(raw)
+                mode = "rebuilt"
+            fed = {step for (step, __), __, __ in feeds}
+            for result in ctx.results:
+                if result.name in fed:
+                    result.detail.setdefault("store", {})[name] = mode
+        ctx.unbuilt.clear()
 
     def _record_health(
         self, ctx: WorkflowContext, step: WorkflowStep, kind: str, message: str
@@ -383,6 +477,12 @@ class WorkflowEngine:
                     entries.append(f"{descriptor['path']}:{token}")
             elif step.kind == "validate":
                 entries.append("spec:" + ctx.resolve_spec(step))
+            elif step.kind == "shadow":
+                text = ctx.shadow_text()
+                entries.append(
+                    "shadow:-" if text is None else
+                    "shadow:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+                )
             elif step.kind == "cross_check":
                 if step.options.get("rulepack"):
                     token = ctx.probe(step.options["rulepack"])

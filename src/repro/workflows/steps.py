@@ -4,11 +4,18 @@ A step implementation is a *pure* callable ``runner(ctx, step) ->
 StepOutput``: it reads the shared :class:`WorkflowContext` and returns its
 outputs — a JSON-safe ``detail`` summary, optionally a
 :class:`~repro.core.report.ValidationReport` to merge into the workflow
-verdict, and optionally parsed stores — without mutating shared state.
-The engine applies outputs on its own thread only after the step finished
-inside its timeout, which is what makes per-step timeouts safe: an
-abandoned runner's outputs are simply discarded
+verdict, optionally parsed stores, and optionally the splice lane to keep
+for its next run — without mutating shared state.  The engine applies
+outputs on its own thread only after the step finished inside its
+timeout, which is what makes per-step timeouts safe: an abandoned
+runner's outputs are simply discarded
 (:meth:`~repro.workflows.engine.WorkflowEngine._execute`).
+
+``validate`` and ``shadow`` evaluate through a
+:class:`~repro.core.incremental.SpliceLane` over the engine's kept store
+(:meth:`WorkflowContext.evaluate`): only the statements the store's last
+change can affect re-run, and the rest splice from the lane the step
+kept last time — the delta scanner's path, shared.
 
 Built-in kinds::
 
@@ -31,10 +38,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..core.incremental import SpliceLane, compile_for_splice
 from ..core.policy import ValidationPolicy
 from ..core.report import ValidationReport
 from ..core.session import ValidationSession, resolve_driver
 from ..drivers import get_driver
+from ..parallel.shards import select_units
 from ..repository.store import ConfigStore
 from ..runtime import RuntimeProvider
 from .model import StepResult, WorkflowError, WorkflowStep
@@ -64,6 +73,9 @@ class StepOutput:
     stores: Optional[list] = None
     #: per-store flags to publish (``{"web": {"world_readable": True}}``)
     store_meta: Optional[dict] = None
+    #: the splice lane to keep for the step's next run; the engine keeps
+    #: it only when the step finished ``ok``
+    lane: Optional[SpliceLane] = None
 
 
 class WorkflowContext:
@@ -100,6 +112,15 @@ class WorkflowContext:
         self.analytics = analytics
         #: named configuration stores built by ``parse`` steps
         self.stores: dict[str, ConfigStore] = {}
+        #: the engine's kept store behind each name in ``stores`` (empty
+        #: with splicing off), and each step's kept splice lane
+        self.kept: dict = {}
+        self.lanes: dict[str, SpliceLane] = {}
+        #: parse outputs per store name, in order:
+        #: ``[((step name, output position), instance tuple, spliced), …]``
+        self.feeds: dict[str, list] = {}
+        self.unbuilt: set[str] = set()
+        self._shadow_text: Optional[tuple] = None
         #: per-store flags rule packs can condition on (world_readable, …)
         self.store_meta: dict[str, dict] = {}
         #: the merged validation verdict, in step-execution order
@@ -148,6 +169,63 @@ class WorkflowContext:
             f"step {step.name!r} has no spec: set 'spec' (path) or "
             f"'spec_text', or run the workflow with one"
         )
+
+    def shadow_text(self) -> Optional[str]:
+        """The shadow provider's text, fetched once per run (``None``
+        without a provider), so the splice digest and the step agree."""
+        if self.shadow_provider is None:
+            return None
+        if self._shadow_text is None:
+            self._shadow_text = (self.shadow_provider(),)
+        return self._shadow_text[0]
+
+    def evaluate(
+        self, step: WorkflowStep, spec_text: str, executor=None, **options
+    ) -> tuple[ValidationReport, dict, Optional[SpliceLane]]:
+        """Validate ``spec_text`` against the step's store, splicing if it can.
+
+        ``options`` configure the :class:`ValidationSession`.  Over a kept
+        store, the step's lane re-evaluates only what the store's change
+        since the lane's last run can affect.  Otherwise — splicing off, a
+        placeholder store, or a program a splice cannot reproduce — the
+        whole spec runs on ``executor``.  Returns the report, the
+        selection detail and the lane to keep (``None`` on the full path).
+        """
+        name = step.options.get("store", "default")
+        kept = self.kept.get(name)
+        if kept is not None:
+            session = ValidationSession(
+                runtime=self.runtime, spec_cache=self.spec_cache, **options
+            )
+            statements = compile_for_splice(session, spec_text)
+            if statements is not None:
+                lane = self.lanes.get(step.name) or SpliceLane()
+                run = lane.run(
+                    session,
+                    (spec_text, session._options_fingerprint()),
+                    statements,
+                    kept.store,
+                    kept.change_since(lane.stamp),
+                    stamp=kept.stamp,
+                )
+                return run.report, {
+                    "lane": "delta" if run.mode == "delta" else "full",
+                    "statements": run.statements,
+                    "selected": run.selected,
+                }, run.lane
+        store = self.peek_store(name)
+        if kept is not None:
+            # load commands add to the store: never to the kept one
+            store = ConfigStore()
+            store.add_all(kept.store.instances())
+        session = ValidationSession(
+            store=store, runtime=self.runtime, spec_cache=self.spec_cache,
+            executor=executor, **options,
+        )
+        statements = session.compile(spec_text)
+        report = session._run_validation(statements, None)
+        units = len(select_units(statements)[1])
+        return report, {"lane": "full", "statements": units, "selected": units}, None
 
     def step_payload(self) -> list:
         return [result.to_dict() for result in self.results]
@@ -279,43 +357,37 @@ def run_validate(ctx: WorkflowContext, step: WorkflowStep) -> StepOutput:
     executor = step.options.get("executor", ctx.executor)
     if executor in ("", "none"):
         executor = None
-    session = ValidationSession(
-        store=ctx.peek_store(step.options.get("store", "default")),
-        runtime=ctx.runtime,
+    report, selection, lane = ctx.evaluate(
+        step,
+        spec_text,
+        executor=executor,
         policy=ctx.policy,
         base_dir=ctx.base_dir,
-        executor=executor,
-        spec_cache=ctx.spec_cache,
         analytics=ctx.analytics,
     )
-    report = session.validate(spec_text)
     return StepOutput(
         detail={
             "specs_evaluated": report.specs_evaluated,
             "violations": len(report.violations),
             "instances_checked": report.instances_checked,
             "passed": report.passed,
+            **selection,
         },
         report=report,
+        lane=lane,
     )
 
 
 def run_shadow(ctx: WorkflowContext, step: WorkflowStep) -> StepOutput:
     """Advisory lane: candidate specs never touch the workflow verdict."""
-    if ctx.shadow_provider is None:
+    text = ctx.shadow_text()
+    if text is None:
         return StepOutput(detail={"enabled": False})
-    text = ctx.shadow_provider()
     if not text:
         return StepOutput(detail={"enabled": True, "specs": 0, "clean": True})
     # optimize=False matches the lifecycle's shadow lane, so the composed
     # program shares one spec-cache entry with it
-    lane = ValidationSession(
-        store=ctx.peek_store(step.options.get("store", "default")),
-        runtime=ctx.runtime,
-        spec_cache=ctx.spec_cache,
-        optimize=False,
-    )
-    shadow_report = lane.validate(text)
+    shadow_report, selection, lane = ctx.evaluate(step, text, optimize=False)
     return StepOutput(
         detail={
             "enabled": True,
@@ -323,7 +395,9 @@ def run_shadow(ctx: WorkflowContext, step: WorkflowStep) -> StepOutput:
             "violations": len(shadow_report.violations),
             "instances_checked": shadow_report.instances_checked,
             "clean": not shadow_report.violations,
-        }
+            **selection,
+        },
+        lane=lane,
     )
 
 
@@ -425,7 +499,7 @@ def run_webhook(ctx: WorkflowContext, step: WorkflowStep) -> StepOutput:
 
 register_step_kind("parse", run_parse, spliceable=True)
 register_step_kind("validate", run_validate, spliceable=True)
-register_step_kind("shadow", run_shadow)
+register_step_kind("shadow", run_shadow, spliceable=True)
 register_step_kind("cross_check", run_cross_check, spliceable=True)
 register_step_kind("report", run_report)
 register_step_kind("webhook", run_webhook)

@@ -170,3 +170,27 @@ def test_property_incremental_matches_full(mutations):
         and parse_instance_key(entry[0]).class_key in touched
     ]
     assert not missed
+
+
+class TestCompileForSplice:
+    """Programs whose inputs reach beyond the spec text are never spliced."""
+
+    @pytest.mark.parametrize(
+        "program, spliceable",
+        [
+            ("$A.X -> int", True),
+            ("include 'extra.cpl'\n$A.X -> int", False),
+            ("load 'ini' 'app.ini'\n$A.X -> int", False),
+        ],
+    )
+    def test_commands_disqualify_the_program(self, tmp_path, program, spliceable):
+        from repro.core.incremental import compile_for_splice
+        from repro.parallel.cache import SpecCache
+
+        (tmp_path / "extra.cpl").write_text("$A.Y -> int\n")
+        (tmp_path / "app.ini").write_text("[A]\nX = 1\n")
+        cache = SpecCache()
+        for __ in range(2):  # a cache hit must agree with the miss
+            session = ValidationSession(base_dir=str(tmp_path), spec_cache=cache)
+            statements = compile_for_splice(session, program)
+            assert (statements is not None) == spliceable

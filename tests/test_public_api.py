@@ -97,3 +97,33 @@ def test_promotion_policy_doctests():
     results = doctest.testmod(policy_module)
     assert results.attempted > 0
     assert results.failed == 0
+
+
+def test_import_loads_no_server_or_process_pool_modules():
+    """``import repro`` leaves the HTTP server, TLS and process-pool
+    modules unloaded; the code that needs them imports them on use."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = (
+        "import json, sys, repro; print(json.dumps(sorted(m for m in "
+        "('ssl', 'http.server', 'multiprocessing') if m in sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, timeout=60, check=True,
+    )
+    assert json.loads(result.stdout) == []
+
+
+def test_observability_server_loads_on_first_access():
+    from repro import observability
+
+    assert observability.ObservabilityServer.__name__ == "ObservabilityServer"
+    assert observability.parse_http_address("127.0.0.1:0") == ("127.0.0.1", 0)
+    with pytest.raises(AttributeError):
+        observability.no_such_name

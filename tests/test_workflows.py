@@ -11,6 +11,8 @@ asynchronous job API.
 from __future__ import annotations
 
 import json
+import os
+import random
 import time
 
 import pytest
@@ -19,6 +21,7 @@ from repro import observability
 from repro.core.session import ValidationSession
 from repro.jobs.model import report_fingerprint_digest
 from repro.jobs.service import JobService
+from repro.parallel.cache import SpecCache
 from repro.service import SourceSpec, ValidationService
 from repro.workflows import (
     CrossStoreChecker,
@@ -688,3 +691,350 @@ class TestWorkflowJobs:
             assert "on_pass" in steps["deploy"]["reason"]
         finally:
             service.close(timeout=5)
+
+
+# ---------------------------------------------------------------------------
+# Kept stores and splice lanes: differential test against fresh runs
+# ---------------------------------------------------------------------------
+
+LANE_VALUES = {
+    "Timeout": ["30", "45", "999", "x"],
+    "Mode": ["fast", "safe", "slow"],
+    "Port": ["8080", "443", "70000"],
+    "HttpPort": ["80", "8443", "-1"],
+    "Replicas": ["1", "3"],
+}
+LANE_SECTIONS = ["Cluster", "shared", "node"]
+#: both files feed store "main", and share key names, so the store must
+#: disambiguate cross-source duplicates by ordinal
+LANE_CORPUS = {
+    "a.ini": [("Cluster", "Timeout", "30"), ("Cluster", "Mode", "fast"),
+              ("shared", "Port", "8080"), ("node", "Replicas", "1")],
+    "b.ini": [("Cluster", "Timeout", "45"), ("shared", "Port", "443"),
+              ("node", "HttpPort", "80"), ("Cluster", "Mode", "safe")],
+}
+LANE_SPECS = [
+    "$Cluster.Timeout -> int & [1, 60]\n"
+    "$Cluster.Mode -> {'fast', 'safe'}\n"
+    "$*Port -> port\n"
+    "$shared.Port -> unique\n"
+    "$node.Replicas -> count -> == 1\n",
+    "$Cluster.Timeout -> int & [1, 40]\n"
+    "$Cluster.Mode -> {'fast', 'safe'}\n"
+    "$*Port -> port\n"
+    "$node.HttpPort -> nonempty\n",
+]
+LANE_SHADOWS = [
+    "$Cluster.Timeout -> int\n$node.HttpPort -> port\n$Cluster.Mode -> nonempty\n",
+    "$Cluster.Timeout -> int\n$shared.Port -> unique\n$node.Replicas -> int\n",
+]
+LANE_RULES = [
+    "rulepack:\n  name: lanes\nrules:\n"
+    "  - id: no-debug-in-prod\n    kind: forbid\n    severity: error\n"
+    "    key: debug\n    equals: 'true'\n"
+    "    when: {key: environment, equals: production}\n",
+    "rulepack:\n  name: lanes\nrules:\n"
+    "  - id: timeout-bound\n    kind: cpl\n    severity: warning\n"
+    "    spec: '$main.Cluster.Timeout -> int & [1, 50]'\n",
+]
+SIDE_VALUES = {"debug": ["false", "true"], "environment": ["production", "staging"]}
+#: edit kind -> (main store path, validate lane, shadow lane), where
+#: "spliced" means the step did not run at all
+LANE_PATHS = {
+    "value": ("patched", "delta", "delta"),
+    "comment": ("patched", "delta", "delta"),
+    "add": ("rebuilt", "delta", "delta"),
+    "remove": ("rebuilt", "delta", "delta"),
+    "reorder": ("rebuilt", "delta", "delta"),
+    # the delete run validated a placeholder store, which keeps no lane
+    "restore": ("patched", "full", "full"),
+    "spec": ("spliced", "full", "spliced"),
+    "shadow": ("spliced", "spliced", "full"),
+    "rulepack": ("spliced", "spliced", "spliced"),
+    "side": ("spliced", "spliced", "spliced"),
+    "none": ("spliced", "spliced", "spliced"),
+}
+
+
+def rewrite(path, text):
+    path.write_text(text)
+    # strictly newer mtime even on coarse-granularity filesystems
+    stat = path.stat()
+    os.utime(path, ns=(stat.st_atime_ns + 1_000_000, stat.st_mtime_ns + 1_000_000))
+
+
+def store_rows(store):
+    return [(i.key, i.value, i.source) for i in store.instances()]
+
+
+class LaneCorpus:
+    """Seeded edits to a two-parse-step workflow, run alike by a splicing
+    engine and a ``splice=False`` twin."""
+
+    def __init__(self, tmp_path, seed):
+        self.rng = random.Random(seed)
+        self.dir = tmp_path
+        self.rows = {name: list(rows) for name, rows in LANE_CORPUS.items()}
+        self.comments = dict.fromkeys(LANE_CORPUS, 0)
+        self.side = {"debug": "false", "environment": "production"}
+        self.variant = {"spec": 0, "shadow": 0, "rulepack": 0}
+        self.deleted = None
+        for name in LANE_CORPUS:
+            self.write(name)
+        rewrite(tmp_path / "side.env", self.render_side())
+        rewrite(tmp_path / "spec.cpl", LANE_SPECS[0])
+        rewrite(tmp_path / "rules.yaml", LANE_RULES[0])
+        workflow = Workflow.from_dict(
+            {
+                "workflow": {"name": "lanes"},
+                "steps": [
+                    {"name": "parse_main", "kind": "parse", "sources": [
+                        {"format": "ini", "path": name, "store": "main"}
+                        for name in LANE_CORPUS
+                    ]},
+                    {"name": "parse_side", "kind": "parse", "after": [],
+                     "sources": [{"format": "env", "path": "side.env",
+                                  "store": "side", "world_readable": True}]},
+                    {"name": "validate", "after": "parse_main",
+                     "store": "main", "spec": "spec.cpl"},
+                    {"name": "shadow", "after": "parse_main", "store": "main"},
+                    {"name": "cross_check",
+                     "after": ["parse_main", "parse_side"],
+                     "rulepack": "rules.yaml", "stores": ["main", "side"]},
+                    {"name": "report", "gate": "always",
+                     "after": ["validate", "shadow", "cross_check"]},
+                ],
+            }
+        )
+        self.engine, self.fresh = (
+            WorkflowEngine(
+                workflow, base_dir=str(tmp_path), spec_cache=SpecCache(),
+                shadow_provider=self.shadow_text, splice=splice,
+            )
+            for splice in (True, False)
+        )
+
+    def shadow_text(self):
+        return LANE_SHADOWS[self.variant["shadow"]]
+
+    def render_side(self):
+        return "".join(f"{key}={value}\n" for key, value in self.side.items())
+
+    def write(self, name):
+        lines = [f"# revision {n}" for n in range(self.comments[name])]
+        for section, key, value in self.rows[name]:
+            lines += [f"[{section}]", f"{key} = {value}"]
+        rewrite(self.dir / name, "\n".join(lines) + "\n")
+
+    def edit(self):
+        """Apply one random applicable edit; returns its kind."""
+        rng = self.rng
+        if self.deleted is not None:
+            self.write(self.deleted)
+            self.deleted = None
+            return "restore"
+        while True:
+            kind = rng.choices(
+                ["value", "comment", "add", "remove", "reorder", "delete",
+                 "spec", "shadow", "rulepack", "side", "none"],
+                weights=[30, 8, 10, 10, 8, 5, 6, 6, 5, 6, 6],
+            )[0]
+            name = rng.choice(list(LANE_CORPUS))
+            rows = self.rows[name]
+            if kind == "value" and rows:
+                for index in rng.sample(range(len(rows)), min(len(rows), 2)):
+                    section, key, value = rows[index]
+                    other = [v for v in LANE_VALUES[key] if v != value]
+                    rows[index] = (section, key, rng.choice(other))
+            elif kind == "comment":
+                self.comments[name] += 1
+            elif kind == "add":
+                key = rng.choice(list(LANE_VALUES))
+                rows.insert(
+                    rng.randrange(len(rows) + 1),
+                    (rng.choice(LANE_SECTIONS), key, rng.choice(LANE_VALUES[key])),
+                )
+            elif kind == "remove" and rows:
+                rows.pop(rng.randrange(len(rows)))
+            elif kind == "reorder" and len({r[:2] for r in rows}) > 1:
+                first, second = rng.sample(range(len(rows)), 2)
+                while rows[first][:2] == rows[second][:2]:
+                    first, second = rng.sample(range(len(rows)), 2)
+                rows[first], rows[second] = rows[second], rows[first]
+            elif kind == "delete":
+                (self.dir / name).unlink()
+                self.deleted = name
+                return kind
+            elif kind in ("spec", "shadow", "rulepack"):
+                self.variant[kind] = 1 - self.variant[kind]
+                if kind == "spec":
+                    rewrite(self.dir / "spec.cpl", LANE_SPECS[self.variant[kind]])
+                elif kind == "rulepack":
+                    rewrite(self.dir / "rules.yaml", LANE_RULES[self.variant[kind]])
+                return kind
+            elif kind == "side":
+                key = rng.choice(list(SIDE_VALUES))
+                self.side[key] = next(
+                    v for v in SIDE_VALUES[key] if v != self.side[key]
+                )
+                rewrite(self.dir / "side.env", self.render_side())
+                return kind
+            elif kind == "none":
+                return kind
+            else:
+                continue
+            self.write(name)
+            return kind
+
+    def step(self, label=""):
+        """Run both engines; the splicing one must match the fresh one."""
+        outcome, reference = self.engine.run(), self.fresh.run()
+        assert outcome.fingerprint() == reference.fingerprint(), label
+        assert outcome.statuses() == reference.statuses(), label
+        for result in outcome.steps:
+            expected = reference.step(result.name).detail
+            for field in ("violations", "specs", "instances_checked"):
+                assert result.detail.get(field) == expected.get(field), (
+                    label, result.name, field
+                )
+        if outcome.step("parse_main").status == StepStatus.OK:
+            assert store_rows(outcome.store) == store_rows(reference.store), label
+        return outcome
+
+
+def lane_path(outcome):
+    """(main store path, validate lane, shadow lane) of one run."""
+    parse = outcome.step("parse_main")
+    return (
+        "spliced" if parse.spliced else parse.detail["store"]["main"],
+        *(
+            "spliced" if outcome.step(name).spliced
+            else outcome.step(name).detail["lane"]
+            for name in ("validate", "shadow")
+        ),
+    )
+
+
+class TestKeptStoreDifferential:
+    @pytest.mark.parametrize("seed", [5, 23, 61, 97])
+    def test_seeded_edits_match_fresh_runs(self, tmp_path, seed):
+        corpus = LaneCorpus(tmp_path, seed)
+        first = corpus.step("bootstrap")
+        assert lane_path(first) == ("rebuilt", "full", "full")
+        taken = set()
+        for __ in range(55):
+            kind = corpus.edit()
+            outcome = corpus.step(kind)
+            if kind == "delete":
+                assert outcome.step("parse_main").status == StepStatus.FAILED
+                # default gates run anyway, over a placeholder store
+                assert outcome.step("validate").detail["lane"] == "full"
+                continue
+            path = lane_path(outcome)
+            assert path == LANE_PATHS[kind], (kind, path)
+            taken.update(path)
+            if path[1] == "delta" and kind in ("value", "comment"):
+                validate = outcome.step("validate").detail
+                assert validate["selected"] < validate["statements"], kind
+        assert {"patched", "rebuilt", "delta", "full"} <= taken
+        stats = corpus.engine.stats()
+        assert stats["store_patched"] > 0 and stats["store_rebuilt"] > 0
+        assert stats["statements_skipped"] > 0
+
+
+class TestKeptStoreFailures:
+    def timed_workflow(self):
+        return Workflow.from_dict(
+            {
+                "steps": [
+                    {"name": "parse",
+                     "sources": [{"format": "json", "path": "app.json"}]},
+                    {"name": "validate", "spec": "app.cpl"},
+                    {"name": "slow", "timeout": 0.05, "after": "parse"},
+                ]
+            }
+        )
+
+    def test_timeout_drops_kept_stores_and_lanes(self, corpus):
+        import threading
+
+        release = threading.Event()
+        calls = []
+
+        def slow(ctx, step):
+            calls.append(step.name)
+            if len(calls) == 1:  # only the first run stalls
+                release.wait(5.0)
+            return StepOutput(detail={"ok": True})
+
+        register_step_kind("slow", slow)
+        engine = WorkflowEngine(self.timed_workflow(), base_dir=str(corpus))
+        try:
+            first = engine.run()
+            assert first.step("slow").status == StepStatus.TIMEOUT
+            abandoned = first.store
+            (corpus / "app.json").write_text(APP_JSON.replace('"10"', '"20"'))
+            second = engine.run()
+        finally:
+            release.set()
+        reference = WorkflowEngine(
+            self.timed_workflow(), base_dir=str(corpus), splice=False
+        ).run()
+        assert second.fingerprint() == reference.fingerprint()
+        assert second.statuses() == reference.statuses()
+        # nothing was kept: a new store, built from scratch, evaluated whole
+        assert second.store is not abandoned
+        assert second.step("parse").detail["store"] == {"default": "rebuilt"}
+        assert second.step("validate").detail["lane"] == "full"
+
+    def test_raising_validate_drops_its_lane(self, corpus, monkeypatch):
+        from repro.core import incremental
+
+        engine = WorkflowEngine(pure_workflow(corpus), base_dir=str(corpus))
+        engine.run()
+
+        def explode(state, shard):
+            raise RuntimeError("shard crashed")
+
+        monkeypatch.setattr(incremental, "evaluate_shard", explode)
+        (corpus / "app.json").write_text(APP_JSON.replace('"10"', '"20"'))
+        assert "validate" in engine._lanes
+        failed = engine.run()
+        assert failed.step("validate").status == StepStatus.FAILED
+        assert "validate" not in engine._lanes
+        monkeypatch.undo()
+
+        (corpus / "app.json").write_text(APP_JSON.replace('"10"', '"99"'))
+        recovered = engine.run()
+        assert recovered.step("parse").detail["store"] == {"default": "patched"}
+        assert recovered.step("validate").detail["lane"] == "full"
+        assert not recovered.passed
+        assert recovered.fingerprint() == direct_report(corpus).fingerprint()
+
+    def test_reset_clears_everything(self, corpus):
+        engine = WorkflowEngine(pure_workflow(corpus), base_dir=str(corpus))
+        first = engine.run()
+        engine.reset()
+        again = engine.run()
+        assert not any(result.spliced for result in again.steps)
+        assert again.store is not first.store
+        assert again.step("parse").detail["store"] == {"default": "rebuilt"}
+        assert again.step("validate").detail["lane"] == "full"
+        assert again.fingerprint() == first.fingerprint()
+
+    def test_one_key_edit_patches_and_selects(self, corpus):
+        engine = WorkflowEngine(pure_workflow(corpus), base_dir=str(corpus))
+        engine.run()
+        kept = engine.run().store
+        (corpus / "app.json").write_text(APP_JSON.replace('"10"', '"99"'))
+        outcome = engine.run()
+        assert outcome.store is kept
+        assert outcome.step("parse").detail["store"] == {"default": "patched"}
+        validate = outcome.step("validate").detail
+        assert (validate["lane"], validate["selected"], validate["statements"]) == (
+            "delta", 1, 2
+        )
+        assert outcome.fingerprint() == direct_report(corpus).fingerprint()
+        stats = engine.stats()
+        assert (stats["store_patched"], stats["store_rebuilt"]) == (2, 1)
+        assert (stats["statements_selected"], stats["statements_skipped"]) == (3, 1)
